@@ -209,16 +209,14 @@ BENCHMARK(BM_GemmSimdLevel)->Apply(simdLevelArgs);
 
 constexpr int64_t kCrossoverRows = 256;
 
-/** Rank-r factor shapes filled with random values, skipping the SVD
- *  (timing is shape-dependent, not value-dependent). */
-Linear
-makeFactorizedLinear(int64_t h, int64_t r, Rng &rng)
+/** Give `l` rank-r factor shapes filled with random values, skipping
+ *  the SVD (timing is shape-dependent, not value-dependent). */
+void
+randomizeFactors(Linear &l, int64_t r, Rng &rng)
 {
-    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
     l.installFactorShape(r);
     for (Parameter *p : l.parameters())
         p->value = Tensor::randn(p->value.shape(), rng);
-    return l;
 }
 
 void
@@ -242,7 +240,8 @@ BM_CrossoverFactorized(benchmark::State &state)
     const auto h = static_cast<int64_t>(state.range(0));
     const auto r = static_cast<int64_t>(state.range(1));
     Rng rng(16);
-    Linear l = makeFactorizedLinear(h, r, rng);
+    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
+    randomizeFactors(l, r, rng);
     Tensor x = Tensor::randn({kCrossoverRows, h}, rng);
     for (auto _ : state) {
         Tensor y = l.forward(x);
@@ -271,7 +270,8 @@ BM_CrossoverFactorizedUnfused(benchmark::State &state)
     const auto h = static_cast<int64_t>(state.range(0));
     const auto r = static_cast<int64_t>(state.range(1));
     Rng rng(16);
-    Linear l = makeFactorizedLinear(h, r, rng);
+    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
+    randomizeFactors(l, r, rng);
     Tensor x = Tensor::randn({kCrossoverRows, h}, rng);
     Linear::setFusedForwardEnabled(false);
     for (auto _ : state) {

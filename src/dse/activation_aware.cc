@@ -7,7 +7,7 @@
 namespace lrd {
 
 ActivationScales
-calibrateActivationScales(TransformerModel &model,
+calibrateActivationScales(const TransformerModel &model,
                           const DecompConfig &gamma,
                           const std::vector<TokenSeq> &calibrationDocs)
 {
@@ -20,16 +20,17 @@ calibrateActivationScales(TransformerModel &model,
     // Accumulate sum of squares and counts per (layer, kind, column).
     std::map<std::pair<int, int>, std::vector<double>> sumSq;
     std::map<std::pair<int, int>, int64_t> counts;
+    TransformerModel::Tape tape;
     for (const TokenSeq &doc : calibrationDocs) {
-        (void)model.forward(doc);
+        // The tape records every Linear's input.
+        (void)model.forward(doc, &tape);
         for (const PrunedRankEntry &e : gamma.prunedRanks()) {
-            Linear &lin = model.linear(e.layer, e.kind);
-            require(!lin.isFactorized(),
+            require(!model.linear(e.layer, e.kind).isFactorized(),
                     "calibrateActivationScales: model already "
                     "factorized");
-            const Tensor &x = lin.lastInput();
-            require(x.rank() == 2, "calibrateActivationScales: no "
-                                   "cached input after forward");
+            const Tensor &x = tape.blocks[static_cast<size_t>(e.layer)]
+                                  .linear(e.kind)
+                                  .x;
             const auto key =
                 std::make_pair(e.layer, static_cast<int>(e.kind));
             auto &acc = sumSq[key];
@@ -44,7 +45,6 @@ calibrateActivationScales(TransformerModel &model,
             counts[key] += x.dim(0);
         }
     }
-    model.clearCache();
 
     ActivationScales scales;
     for (const auto &[key, acc] : sumSq) {

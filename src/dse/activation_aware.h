@@ -27,7 +27,7 @@ using ActivationScales =
  * tensor selected by gamma.
  */
 ActivationScales calibrateActivationScales(
-    TransformerModel &model, const DecompConfig &gamma,
+    const TransformerModel &model, const DecompConfig &gamma,
     const std::vector<TokenSeq> &calibrationDocs);
 
 /**

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,41 +18,28 @@ namespace lrd {
 namespace {
 
 /**
- * Run one item's scoring body under the recovery policy and return
- * the item's final Status. The body writes its answer into the item's
- * fixed result slot; a numeric fault noted while it runs (NaN guard)
- * or an injected "eval.item" allocation failure marks the item
- * failed. Retry mode re-runs the body a bounded number of times —
- * injected faults are consumed by their occurrence counters, so a
- * retry can genuinely clear. Runs entirely on the calling worker, so
- * the per-item outcome is independent of the thread partition.
+ * Run one item's scoring body and return the item's final Status. The
+ * body writes its answer into the item's fixed result slot; a numeric
+ * fault noted while it runs (NaN guard) or an injected "eval.item"
+ * allocation failure marks the item failed, and the recovery policy
+ * folds it later. There is no retry: scoring is deterministic, so a
+ * real failure repeats exactly on identical input. Runs entirely on
+ * the calling worker, so the per-item outcome is independent of the
+ * thread partition.
  */
 template <class Body>
 Status
-scoreWithPolicy(const Body &body)
+scoreItem(const Body &body)
 {
     pollCancelFault("eval.item");
     if (cancelRequested())
         return cancelStatus("eval.item");
     (void)takeNumericFault(); // Drop any stale note from a previous item.
-    const RobustPolicy policy = robustPolicy();
-    const int attempts =
-        policy.mode == RobustMode::Retry ? policy.maxRetries + 1 : 1;
-    Status last;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0)
-            noteRetry();
-        if (faultAt("eval.item", FaultKind::Alloc)) {
-            last = Status(StatusCode::ResourceExhausted, "eval.item",
-                          "injected allocation failure");
-            continue;
-        }
-        body();
-        last = takeNumericFault();
-        if (last.ok())
-            return last;
-    }
-    return last;
+    if (faultAt("eval.item", FaultKind::Alloc))
+        return Status(StatusCode::ResourceExhausted, "eval.item",
+                      "injected allocation failure");
+    body();
+    return takeNumericFault();
 }
 
 /**
@@ -62,7 +48,7 @@ scoreWithPolicy(const Body &body)
  * KV-cache session.
  */
 int
-pickCausal(TransformerModel &model, const McTask &task,
+pickCausal(const TransformerModel &model, const McTask &task,
            const EvalOptions &opts)
 {
     InferenceSession base(model);
@@ -96,8 +82,8 @@ pickCausal(TransformerModel &model, const McTask &task,
 
 /** Score one item on an encoder model by pseudo-log-likelihood. */
 int
-pickBert(TransformerModel &model, const World &world, const McTask &task,
-         const EvalOptions &opts)
+pickBert(const TransformerModel &model, const World &world,
+         const McTask &task, const EvalOptions &opts)
 {
     double bestScore = -std::numeric_limits<double>::infinity();
     int best = 0;
@@ -126,8 +112,8 @@ pickBert(TransformerModel &model, const World &world, const McTask &task,
 
 /** Exact-match correctness of one generative item. */
 bool
-solveGen(TransformerModel &model, const World &world, const GenTask &task,
-         bool causal)
+solveGen(const TransformerModel &model, const World &world,
+         const GenTask &task, bool causal)
 {
     if (causal) {
         const TokenSeq out = greedyGenerate(
@@ -208,7 +194,7 @@ foldItems(const std::vector<Status> &itemStatus, const CorrectAt &correctAt)
 
 } // namespace
 
-Evaluator::Evaluator(TransformerModel &model, const World &world,
+Evaluator::Evaluator(const TransformerModel &model, const World &world,
                      EvalOptions opts)
     : model_(model), world_(world), opts_(opts)
 {
@@ -228,12 +214,11 @@ Evaluator::pickChoiceBert(const McTask &task)
 }
 
 /**
- * Run fn(i, model) for i in [0, n). Model forward passes cache
- * activations, so the shared model cannot be used from two threads;
- * instead each pool worker scores its items on a private replica
- * (deserialized from one snapshot, hence bitwise-identical weights),
- * while the posting thread uses the original model. Items are
- * independent, so any fixed item partition yields identical results —
+ * Run fn(i) for i in [0, n), fanning out across the global pool. All
+ * workers score on the one shared model: inference is a const
+ * function of the weights, and every item keeps its activations in
+ * its own sessions. Items are independent and each writes only its
+ * own result slot, so any item partition yields identical results —
  * this is what keeps eval output invariant under LRD_THREADS.
  */
 template <class Fn>
@@ -242,38 +227,21 @@ Evaluator::forEachItemParallel(int64_t n, const Fn &fn)
 {
     static Counter *items =
         MetricsRegistry::instance().counter("eval.items");
-    ThreadPool &pool = ThreadPool::instance();
-    if (pool.numThreads() <= 1 || n <= 1 || ThreadPool::inParallelRegion()
-        || ThreadPool::workerIndex() != 0) {
-        for (int64_t i = 0; i < n; ++i) {
-            LRD_TRACE_SPAN("eval.item");
-            items->inc();
-            fn(i, model_);
-        }
-        return;
-    }
-
-    const std::vector<uint8_t> snapshot = model_.serialize();
-    std::vector<std::unique_ptr<TransformerModel>> replicas(
-        static_cast<size_t>(pool.numThreads()));
-    pool.parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-        const auto w = static_cast<size_t>(ThreadPool::workerIndex());
-        TransformerModel *m = &model_;
-        if (w != 0) {
-            // Each worker index is owned by exactly one live thread,
-            // so lazy slot initialization is race-free.
-            if (!replicas[w])
-                // lrd-lint: allow(hot-path-alloc) per-worker model replica: one allocation per worker per run
-                replicas[w] = std::make_unique<TransformerModel>(
-                    TransformerModel::deserialize(snapshot));
-            m = replicas[w].get();
-        }
+    const auto scoreRange = [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             LRD_TRACE_SPAN("eval.item");
             items->inc();
-            fn(i, *m);
+            fn(i);
         }
-    });
+    };
+    // Nothing to fan out: score inline, leaving the pool to the
+    // items' own inner loops (GEMM row chunks, attention heads).
+    ThreadPool &pool = ThreadPool::instance();
+    if (pool.numThreads() <= 1 || n <= 1 || ThreadPool::inParallelRegion()
+        || ThreadPool::workerIndex() != 0)
+        scoreRange(0, n);
+    else
+        pool.parallelFor(0, n, 1, scoreRange);
 }
 
 EvalResult
@@ -289,17 +257,16 @@ Evaluator::runMc(BenchmarkKind kind)
     // keep this sentinel and fold as skipped, not failed.
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());
     const int64_t admitted = consumeWorkBudget("items", n);
-    forEachItemParallel(admitted, [&](int64_t i, TransformerModel &m) {
+    forEachItemParallel(admitted, [&](int64_t i) {
         const McTask &task = tasks[static_cast<size_t>(i)];
-        itemStatus[static_cast<size_t>(i)] = scoreWithPolicy([&] {
+        itemStatus[static_cast<size_t>(i)] = scoreItem([&] {
             picks[static_cast<size_t>(i)] =
-                causal ? pickCausal(m, task, opts_)
-                       : pickBert(m, world_, task, opts_);
+                causal ? pickCausal(model_, task, opts_)
+                       : pickBert(model_, world_, task, opts_);
         });
     });
     if (admitted < n)
         expireDeadline("eval.item");
-    model_.clearCache();
     return foldItems(itemStatus, [&](size_t i) {
         return picks[i] == tasks[i].gold;
     });
@@ -315,17 +282,17 @@ Evaluator::runGen()
     std::vector<uint8_t> correct(tasks.size(), 0);
     std::vector<Status> itemStatus(tasks.size(), notScoredStatus());
     const int64_t admitted = consumeWorkBudget("items", n);
-    forEachItemParallel(admitted, [&](int64_t i, TransformerModel &m) {
-        itemStatus[static_cast<size_t>(i)] = scoreWithPolicy([&] {
+    forEachItemParallel(admitted, [&](int64_t i) {
+        itemStatus[static_cast<size_t>(i)] = scoreItem([&] {
             correct[static_cast<size_t>(i)] =
-                solveGen(m, world_, tasks[static_cast<size_t>(i)], causal)
+                solveGen(model_, world_, tasks[static_cast<size_t>(i)],
+                         causal)
                     ? 1
                     : 0;
         });
     });
     if (admitted < n)
         expireDeadline("eval.item");
-    model_.clearCache();
     return foldItems(itemStatus,
                      [&](size_t i) { return correct[i] != 0; });
 }

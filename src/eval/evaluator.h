@@ -9,6 +9,11 @@
  * through a copied KV-cache session. Encoder (BertStyle) models are
  * scored by pseudo-log-likelihood: each choice position is masked in
  * turn and the original token's probability read out.
+ *
+ * Items fan out across the thread pool on the one model the evaluator
+ * was given: inference only reads the weights, and each item keeps its
+ * activations in its own sessions, so no worker needs a replica and
+ * results are bitwise identical at any LRD_THREADS.
  */
 
 #ifndef LRD_EVAL_EVALUATOR_H
@@ -33,7 +38,7 @@ struct EvalOptions
 class Evaluator
 {
   public:
-    Evaluator(TransformerModel &model, const World &world,
+    Evaluator(const TransformerModel &model, const World &world,
               EvalOptions opts = {});
 
     /** Accuracy on one benchmark. */
@@ -56,14 +61,14 @@ class Evaluator
     EvalResult runGen();
 
     /**
-     * Score items [0, n) via fn(i, model), fanning out across the
-     * global thread pool with one model replica per worker so the
-     * result is bitwise independent of the thread count.
+     * Score items [0, n) via fn(i), fanning out across the global
+     * thread pool over the shared model; the result is bitwise
+     * independent of the thread count.
      */
     template <class Fn>
     void forEachItemParallel(int64_t n, const Fn &fn);
 
-    TransformerModel &model_;
+    const TransformerModel &model_;
     const World &world_;
     EvalOptions opts_;
 };

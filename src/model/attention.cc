@@ -78,21 +78,22 @@ MultiHeadAttention::applyRope(Tensor &qk, int64_t startPos, bool inverse,
 }
 
 Tensor
-MultiHeadAttention::forward(const Tensor &x)
+MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
 {
     LRD_TRACE_SPAN("attn.forward");
     require(x.rank() == 2 && x.dim(1) == dModel_,
             strCat("MultiHeadAttention::forward: bad input ",
                    shapeToString(x.shape())));
     const int64_t t = x.dim(0);
-    cachedQ_ = wq_->forward(x);
-    cachedK_ = wk_->forward(x);
-    cachedV_ = wv_->forward(x);
-    applyRope(cachedQ_, 0, false, nHeads_);
-    applyRope(cachedK_, 0, false, kvHeads_);
+    const bool record = tape != nullptr;
+    Tensor q = wq_->forward(x, record ? &tape->wq : nullptr);
+    Tensor k = wk_->forward(x, record ? &tape->wk : nullptr);
+    Tensor v = wv_->forward(x, record ? &tape->wv : nullptr);
+    applyRope(q, 0, false, nHeads_);
+    applyRope(k, 0, false, kvHeads_);
 
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
-    cachedProbs_ = Tensor({nHeads_, t, t});
+    Tensor allProbs({nHeads_, t, t});
     Tensor ctx({t, dModel_});
 
     // Heads write disjoint probs planes and disjoint ctx column
@@ -102,15 +103,15 @@ MultiHeadAttention::forward(const Tensor &x)
     headsProcessedCounter()->add(h1 - h0);
     for (int64_t h = h0; h < h1; ++h) {
         const int64_t kvh = h / group;
-        float *probs = cachedProbs_.data() + h * t * t;
+        float *probs = allProbs.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
-            const float *qrow = cachedQ_.data() + i * dModel_ + h * headDim_;
+            const float *qrow = q.data() + i * dModel_ + h * headDim_;
             float *prow = probs + i * t;
             const int64_t limit = causal_ ? i + 1 : t;
             float mx = -std::numeric_limits<float>::infinity();
             for (int64_t j = 0; j < limit; ++j) {
                 const float *krow =
-                    cachedK_.data() + j * kvDim_ + kvh * headDim_;
+                    k.data() + j * kvDim_ + kvh * headDim_;
                 float s = 0.0F;
                 for (int64_t d = 0; d < headDim_; ++d)
                     s += qrow[d] * krow[d];
@@ -132,7 +133,7 @@ MultiHeadAttention::forward(const Tensor &x)
             float *crow = ctx.data() + i * dModel_ + h * headDim_;
             for (int64_t j = 0; j < limit; ++j) {
                 const float *vrow =
-                    cachedV_.data() + j * kvDim_ + kvh * headDim_;
+                    v.data() + j * kvDim_ + kvh * headDim_;
                 const float p = prow[j];
                 for (int64_t d = 0; d < headDim_; ++d)
                     crow[d] += p * vrow[d];
@@ -140,17 +141,25 @@ MultiHeadAttention::forward(const Tensor &x)
         }
     }
     });
-    return wso_->forward(ctx);
+    if (!record)
+        return wso_->forward(ctx);
+    tape->q = std::move(q);
+    tape->k = std::move(k);
+    tape->v = std::move(v);
+    tape->probs = std::move(allProbs);
+    return wso_->forward(ctx, &tape->wso);
 }
 
 Tensor
-MultiHeadAttention::backward(const Tensor &dy)
+MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
+                             const Grads &grads) const
 {
     LRD_TRACE_SPAN("attn.backward");
     const int64_t t = dy.dim(0);
-    require(cachedProbs_.rank() == 3 && cachedProbs_.dim(1) == t,
-            "MultiHeadAttention::backward: no matching forward cached");
-    Tensor dCtx = wso_->backward(dy);
+    require(tape.probs.rank() == 3 && tape.probs.dim(1) == t,
+            "MultiHeadAttention::backward: tape does not match this "
+            "gradient");
+    Tensor dCtx = wso_->backward(dy, tape.wso, grads);
 
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     Tensor dq({t, dModel_});
@@ -166,7 +175,7 @@ MultiHeadAttention::backward(const Tensor &dy)
     std::vector<float> dprow(static_cast<size_t>(t));
     for (int64_t h = kv0 * group; h < kv1 * group; ++h) {
         const int64_t kvh = h / group;
-        const float *probs = cachedProbs_.data() + h * t * t;
+        const float *probs = tape.probs.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
             const float *prow = probs + i * t;
             const float *dcrow = dCtx.data() + i * dModel_ + h * headDim_;
@@ -174,7 +183,7 @@ MultiHeadAttention::backward(const Tensor &dy)
             // dP = dCtx V^T ; dV += P^T dCtx.
             for (int64_t j = 0; j < limit; ++j) {
                 const float *vrow =
-                    cachedV_.data() + j * kvDim_ + kvh * headDim_;
+                    tape.v.data() + j * kvDim_ + kvh * headDim_;
                 float *dvrow = dv.data() + j * kvDim_ + kvh * headDim_;
                 float acc = 0.0F;
                 const float p = prow[j];
@@ -188,14 +197,14 @@ MultiHeadAttention::backward(const Tensor &dy)
             float inner = 0.0F;
             for (int64_t j = 0; j < limit; ++j)
                 inner += prow[j] * dprow[static_cast<size_t>(j)];
-            const float *qrow = cachedQ_.data() + i * dModel_ + h * headDim_;
+            const float *qrow = tape.q.data() + i * dModel_ + h * headDim_;
             float *dqrow = dq.data() + i * dModel_ + h * headDim_;
             for (int64_t j = 0; j < limit; ++j) {
                 const float ds =
                     prow[j] * (dprow[static_cast<size_t>(j)] - inner)
                     * invSqrt;
                 const float *krow =
-                    cachedK_.data() + j * kvDim_ + kvh * headDim_;
+                    tape.k.data() + j * kvDim_ + kvh * headDim_;
                 float *dkrow = dk.data() + j * kvDim_ + kvh * headDim_;
                 for (int64_t d = 0; d < headDim_; ++d) {
                     dqrow[d] += ds * krow[d];
@@ -210,14 +219,14 @@ MultiHeadAttention::backward(const Tensor &dy)
     applyRope(dq, 0, true, nHeads_);
     applyRope(dk, 0, true, kvHeads_);
 
-    Tensor dx = wq_->backward(dq);
-    axpy(dx, 1.0F, wk_->backward(dk));
-    axpy(dx, 1.0F, wv_->backward(dv));
+    Tensor dx = wq_->backward(dq, tape.wq, grads);
+    axpy(dx, 1.0F, wk_->backward(dk, tape.wk, grads));
+    axpy(dx, 1.0F, wv_->backward(dv, tape.wv, grads));
     return dx;
 }
 
 Tensor
-MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache)
+MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
 {
     LRD_TRACE_SPAN("attn.cached");
     require(x.rank() == 2 && x.dim(1) == dModel_,
@@ -319,17 +328,6 @@ MultiHeadAttention::paramCount() const
 {
     return wq_->paramCount() + wk_->paramCount() + wv_->paramCount()
            + wso_->paramCount();
-}
-
-void
-MultiHeadAttention::clearCache()
-{
-    cachedQ_ = Tensor();
-    cachedK_ = Tensor();
-    cachedV_ = Tensor();
-    cachedProbs_ = Tensor();
-    for (Linear *l : {wq_.get(), wk_.get(), wv_.get(), wso_.get()})
-        l->clearCache();
 }
 
 } // namespace lrd

@@ -40,25 +40,35 @@ class MultiHeadAttention
   public:
     MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
 
-    /** Full-sequence forward: x (T, d) -> (T, d). Caches for backward. */
-    Tensor forward(const Tensor &x);
+    /** What backward() needs from one forward(). */
+    struct Tape
+    {
+        Linear::Tape wq, wk, wv, wso;
+        Tensor q, k, v; ///< Post-RoPE projections.
+        Tensor probs;   ///< (nHeads, T, T) softmax rows.
+    };
 
-    /** Backward through the last forward(); returns dL/dx. */
-    Tensor backward(const Tensor &dy);
+    /** Full-sequence forward: x (T, d) -> (T, d); records into *tape
+     *  if set. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+
+    /** Backward through the forward() that filled `tape`; returns
+     *  dL/dx. */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const;
 
     /**
-     * Incremental forward: append x's rows (usually one) at positions
-     * cache.len..cache.len+n and attend over everything cached so far.
-     * Does not populate training caches.
+     * Incremental inference forward: append x's rows (usually one) at
+     * positions cache.len..cache.len+n and attend over everything
+     * cached so far.
      */
-    Tensor forwardCached(const Tensor &x, KvCache &cache);
+    Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
     /** Access one of the four projection Linears by kind. */
     Linear &linear(WeightKind kind);
 
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
-    void clearCache();
 
   private:
     /**
@@ -77,10 +87,6 @@ class MultiHeadAttention
     bool useRope_;
 
     std::unique_ptr<Linear> wq_, wk_, wv_, wso_;
-
-    // Training caches.
-    Tensor cachedQ_, cachedK_, cachedV_; ///< Post-RoPE (T, d).
-    Tensor cachedProbs_;                 ///< (nHeads, T, T) softmax rows.
 };
 
 } // namespace lrd

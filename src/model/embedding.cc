@@ -19,7 +19,7 @@ Embedding::Embedding(int64_t vocab, int64_t dim, int64_t maxSeq,
 }
 
 Tensor
-Embedding::forward(const TokenSeq &tokens, int64_t startPos)
+Embedding::forward(const TokenSeq &tokens, int64_t startPos) const
 {
     const auto n = static_cast<int64_t>(tokens.size());
     require(n > 0, "Embedding::forward: empty token sequence");
@@ -27,8 +27,6 @@ Embedding::forward(const TokenSeq &tokens, int64_t startPos)
         require(startPos + n <= pos_.value.dim(0),
                 strCat("Embedding::forward: positions ", startPos + n,
                        " exceed maxSeq ", pos_.value.dim(0)));
-    cachedTokens_ = tokens;
-    cachedStart_ = startPos;
     Tensor y({n, dim_});
     for (int64_t i = 0; i < n; ++i) {
         const int t = tokens[static_cast<size_t>(i)];
@@ -50,19 +48,22 @@ Embedding::forward(const TokenSeq &tokens, int64_t startPos)
 }
 
 void
-Embedding::backward(const Tensor &dy)
+Embedding::backward(const Tensor &dy, const TokenSeq &tokens,
+                    int64_t startPos, const Grads &grads) const
 {
-    const auto n = static_cast<int64_t>(cachedTokens_.size());
+    const auto n = static_cast<int64_t>(tokens.size());
     require(dy.rank() == 2 && dy.dim(0) == n && dy.dim(1) == dim_,
             "Embedding::backward: grad shape mismatch");
+    float *gtok = grads[tok_];
+    float *gpos = usePositions_ ? grads[pos_] : nullptr;
     for (int64_t i = 0; i < n; ++i) {
-        const int t = cachedTokens_[static_cast<size_t>(i)];
-        float *grow = tok_.grad.data() + static_cast<int64_t>(t) * dim_;
+        const int t = tokens[static_cast<size_t>(i)];
+        float *grow = gtok + static_cast<int64_t>(t) * dim_;
         const float *drow = dy.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j)
             grow[j] += drow[j];
         if (usePositions_) {
-            float *prow = pos_.grad.data() + (cachedStart_ + i) * dim_;
+            float *prow = gpos + (startPos + i) * dim_;
             for (int64_t j = 0; j < dim_; ++j)
                 prow[j] += drow[j];
         }

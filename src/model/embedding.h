@@ -35,10 +35,15 @@ class Embedding
      * Embed tokens[0..n) at absolute positions startPos..startPos+n.
      * @return (n, dim) activations.
      */
-    Tensor forward(const TokenSeq &tokens, int64_t startPos = 0);
+    Tensor forward(const TokenSeq &tokens, int64_t startPos = 0) const;
 
-    /** Scatter-add gradients for the last forward call. */
-    void backward(const Tensor &dy);
+    /**
+     * Scatter-add dy into the gradients of the rows that
+     * forward(tokens, startPos) read. The tokens are the whole tape:
+     * the caller already owns them.
+     */
+    void backward(const Tensor &dy, const TokenSeq &tokens,
+                  int64_t startPos, const Grads &grads) const;
 
     std::vector<Parameter *> parameters();
 
@@ -50,8 +55,6 @@ class Embedding
     bool usePositions_;
     Parameter tok_;
     Parameter pos_;
-    TokenSeq cachedTokens_;
-    int64_t cachedStart_ = 0;
 };
 
 } // namespace lrd

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "decomp/tucker.h"
-#include "model/train_mode.h"
 #include "obs/metrics.h"
 #include "robust/recovery.h"
 #include "tensor/ops.h"
@@ -46,29 +45,17 @@ fusedCounters()
 }
 
 /**
- * Resolve a failed decomposition per the recovery policy: bounded
- * deterministic re-attempts under retry (injected faults are consumed
- * by their occurrence counters, so a retry can genuinely clear), fatal
- * under strict, and a degraded-but-usable dense layer otherwise.
+ * Resolve a failed decomposition per the recovery policy: fatal under
+ * strict, otherwise a degraded-but-usable dense layer. There is no
+ * retry: the decomposition is deterministic, so a real failure
+ * repeats exactly on identical input.
  */
-template <class Decompose>
 Tucker2d
-decomposeWithPolicy(const Decompose &decompose, const std::string &name)
+decomposeWithPolicy(Tucker2d d, const std::string &name)
 {
-    Tucker2d d = decompose();
     if (d.status.ok())
         return d;
-    const RobustPolicy policy = robustPolicy();
-    if (policy.mode == RobustMode::Retry) {
-        for (int attempt = 0; attempt < policy.maxRetries && !d.status.ok();
-             ++attempt) {
-            noteRetry();
-            d = decompose();
-        }
-        if (d.status.ok())
-            return d;
-    }
-    if (policy.mode == RobustMode::Strict)
+    if (robustPolicy().mode == RobustMode::Strict)
         fatal("Linear::factorize(" + name + "): " + d.status.toString());
     static Counter *degraded = MetricsRegistry::instance().counter(
         "robust.degradedFactorizations");
@@ -93,38 +80,38 @@ Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
 }
 
 Tensor
-Linear::forward(const Tensor &x)
+Linear::forward(const Tensor &x, Tape *tape) const
 {
     require(x.rank() == 2 && x.dim(1) == inDim_,
             strCat("Linear::forward: input ", shapeToString(x.shape()),
                    " incompatible with in dim ", inDim_));
     if (MetricsRegistry::enabled()) {
-        if (!macsCounter_)
-            macsCounter_ = MetricsRegistry::instance().counter(
+        Counter *macs = macsCounter_.load(std::memory_order_acquire);
+        if (!macs) {
+            // The registry hands every caller the same handle.
+            macs = MetricsRegistry::instance().counter(
                 strCat("model.", name_, ".macs"));
+            macsCounter_.store(macs, std::memory_order_release);
+        }
         const int64_t n = x.dim(0);
-        macsCounter_->add(
-            !factorized_
-                ? n * outDim_ * inDim_
-                : n * prunedRank_ * inDim_
-                      + n * prunedRank_ * prunedRank_
-                      + n * outDim_ * prunedRank_);
+        macs->add(!factorized_
+                      ? n * outDim_ * inDim_
+                      : n * prunedRank_ * inDim_
+                            + n * prunedRank_ * prunedRank_
+                            + n * outDim_ * prunedRank_);
     }
-    cachedX_ = x;
     // Inference-only fused path: chain the three factor GEMMs through
     // register-blocked row panels against pre-packed weights, never
     // materializing the (n, pr) intermediates. Skinny batches (m <
     // one microkernel tile of rows) stay on the unfused path, whose
     // lane-dot fallback wastes no work on padded tiles.
-    if (factorized_ && !trainingModeActive() && fusedForwardEnabled() &&
+    if (factorized_ && tape == nullptr && fusedForwardEnabled() &&
         x.dim(0) >= simd::kMr) {
-        ensurePackedFactors();
-        cachedT1_ = Tensor();
-        cachedT2_ = Tensor();
+        const std::shared_ptr<const PackedFactors> packed = packedFactors();
         Tensor y({x.dim(0), outDim_});
         simd::fusedFactorizedForward(
-            x.data(), x.dim(0), inDim_, prunedRank_, outDim_, packedU2t_,
-            packedCoret_, packedU1t_,
+            x.data(), x.dim(0), inDim_, prunedRank_, outDim_, packed->u2t,
+            packed->coret, packed->u1t,
             hasBias_ ? b_.value.data() : nullptr, y.data());
         fusedCounters().fusedForwards->inc();
         return y;
@@ -133,10 +120,16 @@ Linear::forward(const Tensor &x)
     if (!factorized_) {
         y = matmulTransB(x, w_.value);
     } else {
-        cachedT1_ = matmulTransB(x, u2_.value);          // (n, pr)
-        cachedT2_ = matmulTransB(cachedT1_, core_.value); // (n, pr)
-        y = matmulTransB(cachedT2_, u1_.value);          // (n, out)
+        Tensor t1 = matmulTransB(x, u2_.value);    // (n, pr)
+        Tensor t2 = matmulTransB(t1, core_.value); // (n, pr)
+        y = matmulTransB(t2, u1_.value);           // (n, out)
+        if (tape != nullptr) {
+            tape->t1 = std::move(t1);
+            tape->t2 = std::move(t2);
+        }
     }
+    if (tape != nullptr)
+        tape->x = x;
     if (hasBias_) {
         const int64_t n = y.dim(0);
         for (int64_t i = 0; i < n; ++i)
@@ -147,47 +140,40 @@ Linear::forward(const Tensor &x)
 }
 
 Tensor
-Linear::backward(const Tensor &dy)
+Linear::backward(const Tensor &dy, const Tape &tape,
+                 const Grads &grads) const
 {
     require(dy.rank() == 2 && dy.dim(1) == outDim_,
             strCat("Linear::backward: grad ", shapeToString(dy.shape()),
                    " incompatible with out dim ", outDim_));
-    require(cachedX_.rank() == 2 && dy.dim(0) == cachedX_.dim(0),
-            "Linear::backward: no matching forward cached");
+    const Tensor &x = tape.x;
+    require(x.rank() == 2 && dy.dim(0) == x.dim(0),
+            "Linear::backward: tape does not match this gradient");
 
     if (hasBias_) {
+        float *gb = grads[b_];
         const int64_t n = dy.dim(0);
         for (int64_t i = 0; i < n; ++i)
             for (int64_t j = 0; j < outDim_; ++j)
-                b_.grad[j] += dy(i, j);
+                gb[j] += dy(i, j);
     }
 
     if (!factorized_) {
         // dW += dy^T x ; dx = dy W.
-        gemmTransA(dy.data(), cachedX_.data(), w_.grad.data(), dy.dim(0),
-                   outDim_, inDim_, /*accumulate=*/true);
+        gemmTransA(dy.data(), x.data(), grads[w_], dy.dim(0), outDim_,
+                   inDim_, /*accumulate=*/true);
         return matmul(dy, w_.value);
-    }
-
-    // The upcoming optimizer step will mutate the factors, so the
-    // packed panels are stale after this call.
-    invalidatePackedWeights();
-
-    // A fused forward skipped the intermediates; rebuild them.
-    if (cachedT1_.rank() != 2 || cachedT1_.dim(0) != dy.dim(0)) {
-        cachedT1_ = matmulTransB(cachedX_, u2_.value);
-        cachedT2_ = matmulTransB(cachedT1_, core_.value);
     }
 
     // y = ((x U2^T) core^T) U1^T.
     Tensor dT2 = matmul(dy, u1_.value); // (n, pr)
-    gemmTransA(dy.data(), cachedT2_.data(), u1_.grad.data(), dy.dim(0),
-               outDim_, prunedRank_, true);
+    gemmTransA(dy.data(), tape.t2.data(), grads[u1_], dy.dim(0), outDim_,
+               prunedRank_, true);
     Tensor dT1 = matmul(dT2, core_.value); // (n, pr)
-    gemmTransA(dT2.data(), cachedT1_.data(), core_.grad.data(), dT2.dim(0),
+    gemmTransA(dT2.data(), tape.t1.data(), grads[core_], dT2.dim(0),
                prunedRank_, prunedRank_, true);
-    gemmTransA(dT1.data(), cachedX_.data(), u2_.grad.data(), dT1.dim(0),
-               prunedRank_, inDim_, true);
+    gemmTransA(dT1.data(), x.data(), grads[u2_], dT1.dim(0), prunedRank_,
+               inDim_, true);
     return matmul(dT1, u2_.value);
 }
 
@@ -196,7 +182,7 @@ Linear::factorize(int64_t prunedRank)
 {
     require(!factorized_, "Linear::factorize: already factorized");
     Tucker2d d = decomposeWithPolicy(
-        [&] { return tucker2dDecompose(w_.value, prunedRank); }, w_.name);
+        tucker2dDecompose(w_.value, prunedRank), w_.name);
     if (!d.status.ok())
         return d.status;
     prunedRank_ = prunedRank;
@@ -206,7 +192,7 @@ Linear::factorize(int64_t prunedRank)
     u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    invalidatePackedWeights();
+    packed_.reset();
     return Status();
 }
 
@@ -230,8 +216,8 @@ Linear::factorizeActivationAware(int64_t prunedRank,
         for (int64_t c = 0; c < inDim_; ++c)
             row[c] *= colScale[static_cast<size_t>(c)];
     }
-    Tucker2d d = decomposeWithPolicy(
-        [&] { return tucker2dDecompose(scaled, prunedRank); }, w_.name);
+    Tucker2d d = decomposeWithPolicy(tucker2dDecompose(scaled, prunedRank),
+                                     w_.name);
     if (!d.status.ok())
         return d.status;
     for (int64_t r = 0; r < prunedRank; ++r) {
@@ -246,7 +232,7 @@ Linear::factorizeActivationAware(int64_t prunedRank,
     u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    invalidatePackedWeights();
+    packed_.reset();
     return Status();
 }
 
@@ -264,7 +250,7 @@ Linear::installFactorShape(int64_t prunedRank)
     u2_ = Parameter(base + ".u2", Tensor({prunedRank, inDim_}));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    invalidatePackedWeights();
+    packed_.reset();
 }
 
 void
@@ -282,7 +268,7 @@ Linear::densify()
     u2_ = Parameter();
     factorized_ = false;
     prunedRank_ = 0;
-    invalidatePackedWeights();
+    packed_.reset();
 }
 
 int64_t
@@ -334,23 +320,6 @@ Linear::effectiveWeight() const
     return matmul(matmul(u1_.value, core_.value), u2_.value);
 }
 
-void
-Linear::clearCache()
-{
-    cachedX_ = Tensor();
-    cachedT1_ = Tensor();
-    cachedT2_ = Tensor();
-}
-
-void
-Linear::invalidatePackedWeights()
-{
-    packedU2t_ = simd::PackedMat();
-    packedCoret_ = simd::PackedMat();
-    packedU1t_ = simd::PackedMat();
-    packedDirty_ = true;
-}
-
 uint64_t
 Linear::factorFingerprint() const
 {
@@ -387,27 +356,32 @@ Linear::factorFingerprint() const
     return h;
 }
 
-void
-Linear::ensurePackedFactors()
+std::shared_ptr<const Linear::PackedFactors>
+Linear::packedFactors() const
 {
-    // Catch external factor writes (via parameters()) that bypass
-    // invalidatePackedWeights(): a fingerprint mismatch forces a
-    // repack, so fused results can never be computed against stale
-    // panels.
+    // Fingerprint outside the lock: it reads the factors, which no
+    // forward writes, and is the bulk of the staleness check. A
+    // mismatch catches external factor writes (via parameters(), e.g.
+    // an optimizer step) so fused results are never computed against
+    // stale panels.
     const uint64_t fingerprint = factorFingerprint();
-    if (!packedDirty_ && fingerprint == packedFingerprint_)
-        return;
+    std::lock_guard<std::mutex> lock(packMu_);
+    if (packed_ && packed_->fingerprint == fingerprint)
+        return packed_;
     // packMatrixB(M, k, n, trans=true) packs M^T without
     // materializing it; the fused chain is y = ((x U2^T) core^T) U1^T.
-    packedU2t_ = simd::packMatrixB(u2_.value.data(), inDim_, prunedRank_,
+    // lrd-lint: allow(hot-path-alloc) pack-once panels: rebuilt only when the factor values change
+    auto fresh = std::make_shared<PackedFactors>();
+    fresh->u2t = simd::packMatrixB(u2_.value.data(), inDim_, prunedRank_,
                                    /*trans=*/true);
-    packedCoret_ = simd::packMatrixB(core_.value.data(), prunedRank_,
+    fresh->coret = simd::packMatrixB(core_.value.data(), prunedRank_,
                                      prunedRank_, /*trans=*/true);
-    packedU1t_ = simd::packMatrixB(u1_.value.data(), prunedRank_, outDim_,
+    fresh->u1t = simd::packMatrixB(u1_.value.data(), prunedRank_, outDim_,
                                    /*trans=*/true);
-    packedDirty_ = false;
-    packedFingerprint_ = fingerprint;
+    fresh->fingerprint = fingerprint;
+    packed_ = std::move(fresh);
     fusedCounters().weightPacks->inc();
+    return packed_;
 }
 
 bool

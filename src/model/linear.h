@@ -16,6 +16,9 @@
 #ifndef LRD_MODEL_LINEAR_H
 #define LRD_MODEL_LINEAR_H
 
+#include <atomic>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,22 +46,39 @@ class Linear
     Linear(int64_t outDim, int64_t inDim, bool hasBias,
            const std::string &name, Rng &rng);
 
-    /** Forward pass for x of shape (n, in); caches x for backward. */
-    Tensor forward(const Tensor &x);
+    /**
+     * What backward() needs from one forward(): the input and, when
+     * factorized, the two factor intermediates. Owned by the caller,
+     * so the layer itself holds no per-call state.
+     */
+    struct Tape
+    {
+        Tensor x;
+        Tensor t1; ///< x * U2^T (factorized only).
+        Tensor t2; ///< t1 * core^T (factorized only).
+    };
 
     /**
-     * Backward pass. Accumulates weight gradients and returns dL/dx.
-     * Must be preceded by forward() on the same input.
+     * Forward pass for x of shape (n, in). With tape == nullptr this
+     * is inference: nothing is recorded and the fused factorized path
+     * may run. Otherwise the activations backward() needs are
+     * recorded into *tape (always through the unfused chain).
      */
-    Tensor backward(const Tensor &dy);
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+
+    /**
+     * Backward through the forward() that filled `tape`: accumulates
+     * parameter gradients into `grads` and returns dL/dx.
+     */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const;
 
     /**
      * Replace the dense weight by its rank-pruned Tucker factors.
      *
      * A non-converged SVD is resolved by the active recovery policy:
-     * strict fails fast, retry re-attempts a bounded number of times,
-     * and degrade keeps the dense weight and returns the
-     * NonConvergence status (the layer stays usable).
+     * strict fails fast; otherwise the layer keeps its dense weight
+     * and returns the NonConvergence status (it stays usable).
      *
      * @param prunedRank Pruned rank in [1, min(out, in)].
      */
@@ -103,27 +123,11 @@ class Linear
     /** Effective dense weight: W, or U1*core*U2 when factorized. */
     Tensor effectiveWeight() const;
 
-    /** Input of the most recent forward() (activation calibration). */
-    const Tensor &lastInput() const { return cachedX_; }
-
-    /** Reset the cached forward input (frees activation memory). */
-    void clearCache();
-
-    /**
-     * Drop the pack-once factor panels used by the fused inference
-     * path; they are rebuilt lazily on the next fused forward. Called
-     * automatically by backward() and every factor-mutating method.
-     * Direct factor writes (via parameters()) are also caught without
-     * this call: each fused forward fingerprints the factor values
-     * and repacks on mismatch, so stale panels can never be used.
-     */
-    void invalidatePackedWeights();
-
     /**
      * Process-wide switch for the fused factorized forward (chains
      * U2/core/U1 through register-blocked row panels against
      * pre-packed weights instead of materializing intermediates).
-     * Defaults to on unless LRD_FUSED is 0/off; training-mode
+     * Defaults to on unless LRD_FUSED is 0/off; taped (training)
      * forwards and skinny batches (rows < microkernel tile height)
      * always take the unfused path regardless.
      */
@@ -137,8 +141,9 @@ class Linear
     bool factorized_ = false;
     int64_t prunedRank_ = 0;
     std::string name_; ///< Layer name; keys the per-layer MAC counter.
-    /** "model.<name>.macs"; created on first forward with metrics on. */
-    Counter *macsCounter_ = nullptr;
+    /** "model.<name>.macs"; resolved on the first forward with metrics
+     *  on. Concurrent first forwards resolve the same handle. */
+    mutable std::atomic<Counter *> macsCounter_{nullptr};
 
     Parameter w_;    ///< Dense (out, in); empty when factorized.
     Parameter u1_;   ///< (out, pr).
@@ -146,27 +151,33 @@ class Linear
     Parameter u2_;   ///< (pr, in).
     Parameter b_;    ///< (out), optional.
 
-    // Forward caches for backward. The fused inference path leaves
-    // cachedT1_/cachedT2_ empty; backward() recomputes them from
-    // cachedX_ when a training step follows a fused forward.
-    Tensor cachedX_;
-    Tensor cachedT1_; ///< x * U2^T.
-    Tensor cachedT2_; ///< t1 * core^T.
+    /**
+     * Pack-once weight panels for the fused inference path: U2^T,
+     * core^T and U1^T in microkernel layout, plus the fingerprint of
+     * the factor values they were packed from. Immutable once built;
+     * forwards share them by reference count.
+     */
+    struct PackedFactors
+    {
+        simd::PackedMat u2t;
+        simd::PackedMat coret;
+        simd::PackedMat u1t;
+        uint64_t fingerprint = 0;
+    };
 
-    /** Rebuild packedU*_ if dirty or the factors changed under us. */
-    void ensurePackedFactors();
+    /**
+     * The panels for the current factor values, (re)packed when none
+     * exist or the factors changed since (including writes through
+     * parameters() that bypass this class). Safe to call from many
+     * threads at once: packing happens under packMu_.
+     */
+    std::shared_ptr<const PackedFactors> packedFactors() const;
     /** FNV-1a over the factor values' bit patterns. */
     uint64_t factorFingerprint() const;
 
-    // Pack-once weight panels for the fused serving path: U2^T,
-    // core^T and U1^T in microkernel layout, rebuilt lazily after any
-    // factor mutation (tracked by the dirty flag plus a value
-    // fingerprint for writes that bypass this class).
-    simd::PackedMat packedU2t_;
-    simd::PackedMat packedCoret_;
-    simd::PackedMat packedU1t_;
-    uint64_t packedFingerprint_ = 0;
-    bool packedDirty_ = true;
+    mutable std::mutex packMu_; ///< Guards packed_.
+    /** Null until the first fused forward. */
+    mutable std::shared_ptr<const PackedFactors> packed_;
 };
 
 } // namespace lrd

@@ -62,28 +62,36 @@ Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng)
 }
 
 Tensor
-Mlp::forward(const Tensor &x)
+Mlp::forward(const Tensor &x, Tape *tape) const
 {
+    Linear::Tape *tg = tape != nullptr ? &tape->g : nullptr;
+    Linear::Tape *td = tape != nullptr ? &tape->d : nullptr;
+    Tensor gatePre = wg_->forward(x, tg);
+    Tensor y;
     if (arch_ == Arch::LlamaStyle) {
-        cachedGatePre_ = wg_->forward(x);
-        cachedUp_ = wu_->forward(x);
-        Tensor h = hadamard(silu(cachedGatePre_), cachedUp_);
-        return wd_->forward(h);
+        Tensor up = wu_->forward(x, tape != nullptr ? &tape->u : nullptr);
+        y = wd_->forward(hadamard(silu(gatePre), up), td);
+        if (tape != nullptr)
+            tape->up = std::move(up);
+    } else {
+        y = wd_->forward(gelu(gatePre), td);
     }
-    cachedGatePre_ = wg_->forward(x);
-    return wd_->forward(gelu(cachedGatePre_));
+    if (tape != nullptr)
+        tape->gatePre = std::move(gatePre);
+    return y;
 }
 
 Tensor
-Mlp::backward(const Tensor &dy)
+Mlp::backward(const Tensor &dy, const Tape &tape, const Grads &grads) const
 {
-    Tensor dh = wd_->backward(dy);
+    Tensor dh = wd_->backward(dy, tape.d, grads);
+    const Tensor &gatePre = tape.gatePre;
     if (arch_ == Arch::LlamaStyle) {
         // h = silu(g) * u.
-        Tensor dg(cachedGatePre_.shape());
-        Tensor du(cachedUp_.shape());
-        const float *g = cachedGatePre_.data();
-        const float *u = cachedUp_.data();
+        Tensor dg(gatePre.shape());
+        Tensor du(tape.up.shape());
+        const float *g = gatePre.data();
+        const float *u = tape.up.data();
         const float *dhp = dh.data();
         float *dgp = dg.data();
         float *dup = du.data();
@@ -92,18 +100,18 @@ Mlp::backward(const Tensor &dy)
             dup[i] = dhp[i] * sg;
             dgp[i] = dhp[i] * u[i] * siluGrad(g[i]);
         }
-        Tensor dx = wg_->backward(dg);
-        axpy(dx, 1.0F, wu_->backward(du));
+        Tensor dx = wg_->backward(dg, tape.g, grads);
+        axpy(dx, 1.0F, wu_->backward(du, tape.u, grads));
         return dx;
     }
     // h = gelu(g).
-    Tensor dg(cachedGatePre_.shape());
-    const float *g = cachedGatePre_.data();
+    Tensor dg(gatePre.shape());
+    const float *g = gatePre.data();
     const float *dhp = dh.data();
     float *dgp = dg.data();
     for (int64_t i = 0; i < dh.size(); ++i)
         dgp[i] = dhp[i] * geluGrad(g[i]);
-    return wg_->backward(dg);
+    return wg_->backward(dg, tape.g, grads);
 }
 
 Linear &
@@ -151,16 +159,6 @@ Mlp::paramCount() const
     if (wu_)
         n += wu_->paramCount();
     return n;
-}
-
-void
-Mlp::clearCache()
-{
-    cachedGatePre_ = Tensor();
-    cachedUp_ = Tensor();
-    for (Linear *l : {wg_.get(), wu_.get(), wd_.get()})
-        if (l != nullptr)
-            l->clearCache();
 }
 
 } // namespace lrd

@@ -21,24 +21,31 @@ class Mlp
   public:
     Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
 
-    /** x (n, d) -> (n, d). Caches intermediates for backward. */
-    Tensor forward(const Tensor &x);
-    Tensor backward(const Tensor &dy);
+    /** What backward() needs from one forward(). */
+    struct Tape
+    {
+        Linear::Tape g, u, d; ///< Per projection (u: Llama only).
+        Tensor gatePre; ///< Pre-activation of the gate/intermediate.
+        Tensor up;      ///< Llama only: up-projection output.
+    };
+
+    /** x (n, d) -> (n, d); records into *tape if set. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    /** Backward through the forward() that filled `tape`. */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const;
 
     /** Access a decomposable tensor (Gate/Up/Down or Int/Out). */
     Linear &linear(WeightKind kind);
 
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
-    void clearCache();
 
   private:
     Arch arch_;
     // Llama: gate/up/down. BERT: intermediate (wg_) / output (wd_)
     // with wu_ unused.
     std::unique_ptr<Linear> wg_, wu_, wd_;
-    Tensor cachedGatePre_; ///< Pre-activation of the gate/intermediate.
-    Tensor cachedUp_;      ///< Llama only: up-projection output.
 };
 
 } // namespace lrd

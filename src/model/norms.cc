@@ -12,14 +12,16 @@ RmsNorm::RmsNorm(int64_t dim, const std::string &name) : dim_(dim)
 }
 
 Tensor
-RmsNorm::forward(const Tensor &x)
+RmsNorm::forward(const Tensor &x, Tape *tape) const
 {
     require(x.rank() == 2 && x.dim(1) == dim_,
             strCat("RmsNorm::forward: bad input ",
                    shapeToString(x.shape())));
-    cachedX_ = x;
     const int64_t n = x.dim(0);
-    cachedInvRms_.resize(static_cast<size_t>(n));
+    if (tape != nullptr) {
+        tape->x = x;
+        tape->invRms = Tensor({n});
+    }
     Tensor y(x.shape());
     for (int64_t i = 0; i < n; ++i) {
         const float *row = x.data() + i * dim_;
@@ -30,7 +32,8 @@ RmsNorm::forward(const Tensor &x)
             1.0F /
             std::sqrt(static_cast<float>(ms / static_cast<double>(dim_)) +
                       kEps);
-        cachedInvRms_[static_cast<size_t>(i)] = inv;
+        if (tape != nullptr)
+            tape->invRms[i] = inv;
         float *out = y.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j)
             out[j] = row[j] * inv * w_.value[j];
@@ -39,21 +42,23 @@ RmsNorm::forward(const Tensor &x)
 }
 
 Tensor
-RmsNorm::backward(const Tensor &dy)
+RmsNorm::backward(const Tensor &dy, const Tape &tape,
+                  const Grads &grads) const
 {
-    require(dy.shape() == cachedX_.shape(),
-            "RmsNorm::backward: no matching forward cached");
+    require(dy.shape() == tape.x.shape(),
+            "RmsNorm::backward: tape does not match this gradient");
+    float *gw = grads[w_];
     const int64_t n = dy.dim(0);
     Tensor dx(dy.shape());
     for (int64_t i = 0; i < n; ++i) {
-        const float *xrow = cachedX_.data() + i * dim_;
+        const float *xrow = tape.x.data() + i * dim_;
         const float *dyrow = dy.data() + i * dim_;
         float *dxrow = dx.data() + i * dim_;
-        const float s = cachedInvRms_[static_cast<size_t>(i)];
+        const float s = tape.invRms[i];
         double inner = 0.0; // sum_k dy_k w_k x_k
         for (int64_t j = 0; j < dim_; ++j) {
             inner += static_cast<double>(dyrow[j]) * w_.value[j] * xrow[j];
-            w_.grad[j] += dyrow[j] * xrow[j] * s;
+            gw[j] += dyrow[j] * xrow[j] * s;
         }
         const float c =
             static_cast<float>(inner) * s * s * s / static_cast<float>(dim_);
@@ -63,13 +68,6 @@ RmsNorm::backward(const Tensor &dy)
     return dx;
 }
 
-void
-RmsNorm::clearCache()
-{
-    cachedX_ = Tensor();
-    cachedInvRms_.clear();
-}
-
 LayerNorm::LayerNorm(int64_t dim, const std::string &name) : dim_(dim)
 {
     w_ = Parameter(name + ".w", Tensor::ones({dim}));
@@ -77,14 +75,16 @@ LayerNorm::LayerNorm(int64_t dim, const std::string &name) : dim_(dim)
 }
 
 Tensor
-LayerNorm::forward(const Tensor &x)
+LayerNorm::forward(const Tensor &x, Tape *tape) const
 {
     require(x.rank() == 2 && x.dim(1) == dim_,
             strCat("LayerNorm::forward: bad input ",
                    shapeToString(x.shape())));
     const int64_t n = x.dim(0);
-    cachedXhat_ = Tensor(x.shape());
-    cachedInvStd_.resize(static_cast<size_t>(n));
+    if (tape != nullptr) {
+        tape->xhat = Tensor(x.shape());
+        tape->invStd = Tensor({n});
+    }
     Tensor y(x.shape());
     for (int64_t i = 0; i < n; ++i) {
         const float *row = x.data() + i * dim_;
@@ -99,36 +99,44 @@ LayerNorm::forward(const Tensor &x)
         }
         var /= static_cast<double>(dim_);
         const float inv = 1.0F / std::sqrt(static_cast<float>(var) + kEps);
-        cachedInvStd_[static_cast<size_t>(i)] = inv;
-        float *xhat = cachedXhat_.data() + i * dim_;
+        float *xhatRow = nullptr;
+        if (tape != nullptr) {
+            tape->invStd[i] = inv;
+            xhatRow = tape->xhat.data() + i * dim_;
+        }
         float *out = y.data() + i * dim_;
         for (int64_t j = 0; j < dim_; ++j) {
-            xhat[j] = (row[j] - static_cast<float>(mean)) * inv;
-            out[j] = xhat[j] * w_.value[j] + b_.value[j];
+            const float xhat = (row[j] - static_cast<float>(mean)) * inv;
+            if (xhatRow != nullptr)
+                xhatRow[j] = xhat;
+            out[j] = xhat * w_.value[j] + b_.value[j];
         }
     }
     return y;
 }
 
 Tensor
-LayerNorm::backward(const Tensor &dy)
+LayerNorm::backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const
 {
-    require(dy.shape() == cachedXhat_.shape(),
-            "LayerNorm::backward: no matching forward cached");
+    require(dy.shape() == tape.xhat.shape(),
+            "LayerNorm::backward: tape does not match this gradient");
+    float *gw = grads[w_];
+    float *gb = grads[b_];
     const int64_t n = dy.dim(0);
     Tensor dx(dy.shape());
     for (int64_t i = 0; i < n; ++i) {
         const float *dyrow = dy.data() + i * dim_;
-        const float *xhat = cachedXhat_.data() + i * dim_;
+        const float *xhat = tape.xhat.data() + i * dim_;
         float *dxrow = dx.data() + i * dim_;
-        const float inv = cachedInvStd_[static_cast<size_t>(i)];
+        const float inv = tape.invStd[i];
         double meanDxhat = 0.0, meanDxhatXhat = 0.0;
         for (int64_t j = 0; j < dim_; ++j) {
             const double dxhat = static_cast<double>(dyrow[j]) * w_.value[j];
             meanDxhat += dxhat;
             meanDxhatXhat += dxhat * xhat[j];
-            w_.grad[j] += dyrow[j] * xhat[j];
-            b_.grad[j] += dyrow[j];
+            gw[j] += dyrow[j] * xhat[j];
+            gb[j] += dyrow[j];
         }
         meanDxhat /= static_cast<double>(dim_);
         meanDxhatXhat /= static_cast<double>(dim_);
@@ -139,13 +147,6 @@ LayerNorm::backward(const Tensor &dy)
         }
     }
     return dx;
-}
-
-void
-LayerNorm::clearCache()
-{
-    cachedXhat_ = Tensor();
-    cachedInvStd_.clear();
 }
 
 } // namespace lrd

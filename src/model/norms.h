@@ -1,7 +1,8 @@
 /**
  * @file
  * Normalization layers: RMSNorm (Llama-style) and LayerNorm
- * (BERT-style), each with forward and manual backward passes.
+ * (BERT-style), each with a const forward and a manual backward pass
+ * over a caller-owned tape.
  */
 
 #ifndef LRD_MODEL_NORMS_H
@@ -21,18 +22,24 @@ class RmsNorm
   public:
     RmsNorm(int64_t dim, const std::string &name);
 
-    /** x of shape (n, dim) -> same shape. */
-    Tensor forward(const Tensor &x);
-    Tensor backward(const Tensor &dy);
+    /** What backward() needs from one forward(). */
+    struct Tape
+    {
+        Tensor x;
+        Tensor invRms; ///< (n): per-row 1 / rms.
+    };
+
+    /** x of shape (n, dim) -> same shape; records into *tape if set. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    /** Backward through the forward() that filled `tape`. */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const;
 
     std::vector<Parameter *> parameters() { return {&w_}; }
-    void clearCache();
 
   private:
     int64_t dim_;
     Parameter w_;
-    Tensor cachedX_;
-    std::vector<float> cachedInvRms_;
     static constexpr float kEps = 1e-5F;
 };
 
@@ -42,19 +49,25 @@ class LayerNorm
   public:
     LayerNorm(int64_t dim, const std::string &name);
 
-    /** x of shape (n, dim) -> same shape. */
-    Tensor forward(const Tensor &x);
-    Tensor backward(const Tensor &dy);
+    /** What backward() needs from one forward(). */
+    struct Tape
+    {
+        Tensor xhat;   ///< Normalized input.
+        Tensor invStd; ///< (n): per-row 1 / std.
+    };
+
+    /** x of shape (n, dim) -> same shape; records into *tape if set. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    /** Backward through the forward() that filled `tape`. */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const;
 
     std::vector<Parameter *> parameters() { return {&w_, &b_}; }
-    void clearCache();
 
   private:
     int64_t dim_;
     Parameter w_;
     Parameter b_;
-    Tensor cachedXhat_;
-    std::vector<float> cachedInvStd_;
     static constexpr float kEps = 1e-5F;
 };
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <tuple>
 
-#include "model/train_mode.h"
 #include "robust/fault.h"
 #include "robust/recovery.h"
 #include "robust/signal.h"
@@ -51,44 +50,72 @@ TransformerBlock::TransformerBlock(const ModelConfig &cfg, int64_t layerIdx,
 }
 
 Tensor
-TransformerBlock::forward(const Tensor &x)
+TransformerBlock::forward(const Tensor &x, Tape *tape) const
 {
+    const auto rec = [tape](auto member) {
+        return tape != nullptr ? &(tape->*member) : nullptr;
+    };
     if (arch_ == Arch::LlamaStyle) {
         // Pre-norm: x + attn(rms1(x)), then + mlp(rms2(.)).
-        Tensor a = add(x, attn_->forward(rms1_->forward(x)));
-        return add(a, mlp_->forward(rms2_->forward(a)));
+        Tensor a = add(x, attn_->forward(
+                              rms1_->forward(x, rec(&Tape::rms1)),
+                              rec(&Tape::attn)));
+        return add(a, mlp_->forward(rms2_->forward(a, rec(&Tape::rms2)),
+                                    rec(&Tape::mlp)));
     }
     // Post-norm: ln1(x + attn(x)), then ln2(a + mlp(a)).
-    Tensor a = ln1_->forward(add(x, attn_->forward(x)));
-    return ln2_->forward(add(a, mlp_->forward(a)));
+    Tensor a = ln1_->forward(add(x, attn_->forward(x, rec(&Tape::attn))),
+                             rec(&Tape::ln1));
+    return ln2_->forward(add(a, mlp_->forward(a, rec(&Tape::mlp))),
+                         rec(&Tape::ln2));
 }
 
 Tensor
-TransformerBlock::backward(const Tensor &dy)
+TransformerBlock::backward(const Tensor &dy, const Tape &tape,
+                           const Grads &grads) const
 {
     if (arch_ == Arch::LlamaStyle) {
         Tensor da = dy;
-        axpy(da, 1.0F, rms2_->backward(mlp_->backward(dy)));
+        axpy(da, 1.0F,
+             rms2_->backward(mlp_->backward(dy, tape.mlp, grads),
+                             tape.rms2, grads));
         Tensor dx = da;
-        axpy(dx, 1.0F, rms1_->backward(attn_->backward(da)));
+        axpy(dx, 1.0F,
+             rms1_->backward(attn_->backward(da, tape.attn, grads),
+                             tape.rms1, grads));
         return dx;
     }
-    Tensor dIn2 = ln2_->backward(dy);
+    Tensor dIn2 = ln2_->backward(dy, tape.ln2, grads);
     Tensor da = dIn2;
-    axpy(da, 1.0F, mlp_->backward(dIn2));
-    Tensor dIn1 = ln1_->backward(da);
+    axpy(da, 1.0F, mlp_->backward(dIn2, tape.mlp, grads));
+    Tensor dIn1 = ln1_->backward(da, tape.ln1, grads);
     Tensor dx = dIn1;
-    axpy(dx, 1.0F, attn_->backward(dIn1));
+    axpy(dx, 1.0F, attn_->backward(dIn1, tape.attn, grads));
     return dx;
 }
 
 Tensor
-TransformerBlock::forwardCached(const Tensor &x, KvCache &cache)
+TransformerBlock::forwardCached(const Tensor &x, KvCache &cache) const
 {
     require(arch_ == Arch::LlamaStyle,
             "TransformerBlock::forwardCached: KV cache is decoder-only");
     Tensor a = add(x, attn_->forwardCached(rms1_->forward(x), cache));
     return add(a, mlp_->forward(rms2_->forward(a)));
+}
+
+const Linear::Tape &
+TransformerBlock::Tape::linear(WeightKind kind) const
+{
+    switch (kind) {
+      case WeightKind::Query: return attn.wq;
+      case WeightKind::Key: return attn.wk;
+      case WeightKind::Value: return attn.wv;
+      case WeightKind::SelfOutput: return attn.wso;
+      case WeightKind::Gate:
+      case WeightKind::Intermediate: return mlp.g;
+      case WeightKind::Up: return mlp.u;
+      default: return mlp.d; // Down / Output.
+    }
 }
 
 Linear &
@@ -137,21 +164,6 @@ TransformerBlock::paramCount() const
     return n;
 }
 
-void
-TransformerBlock::clearCache()
-{
-    if (rms1_)
-        rms1_->clearCache();
-    if (rms2_)
-        rms2_->clearCache();
-    if (ln1_)
-        ln1_->clearCache();
-    if (ln2_)
-        ln2_->clearCache();
-    attn_->clearCache();
-    mlp_->clearCache();
-}
-
 TransformerModel::TransformerModel(const ModelConfig &cfg, uint64_t seed)
     : cfg_(cfg)
 {
@@ -170,19 +182,24 @@ TransformerModel::TransformerModel(const ModelConfig &cfg, uint64_t seed)
 }
 
 Tensor
-TransformerModel::forward(const TokenSeq &tokens)
+TransformerModel::forward(const TokenSeq &tokens, Tape *tape) const
 {
     require(static_cast<int64_t>(tokens.size()) <= cfg_.maxSeq,
             strCat("TransformerModel::forward: sequence length ",
                    tokens.size(), " exceeds maxSeq ", cfg_.maxSeq));
+    if (tape != nullptr)
+        // lrd-lint: allow(hot-path-alloc) the tape is the item's activation record: one resize per taped forward
+        tape->blocks.resize(blocks_.size());
     Tensor h = embedding_->forward(tokens);
     for (size_t l = 0; l < blocks_.size(); ++l) {
-        h = blocks_[l]->forward(h);
+        h = blocks_[l]->forward(h, tape != nullptr ? &tape->blocks[l]
+                                                   : nullptr);
         guardBlockOutput(h, static_cast<int64_t>(l));
     }
     if (finalNorm_)
-        h = finalNorm_->forward(h);
-    return lmHead_->forward(h);
+        h = finalNorm_->forward(h, tape != nullptr ? &tape->finalNorm
+                                                   : nullptr);
+    return lmHead_->forward(h, tape != nullptr ? &tape->lmHead : nullptr);
 }
 
 namespace {
@@ -233,26 +250,31 @@ double
 TransformerModel::lossAndGrad(const TokenSeq &tokens,
                               const std::vector<int> &targets)
 {
-    // Keep inference-only forward specializations (the fused
-    // factorized path) disabled: backward() needs the cached
-    // intermediates the fused path skips.
-    TrainingModeScope trainScope;
-    Tensor logits = forward(tokens);
+    return lossAndGradInto(tokens, targets, Grads(parameters()));
+}
+
+double
+TransformerModel::lossAndGradInto(const TokenSeq &tokens,
+                                  const std::vector<int> &targets,
+                                  const Grads &grads) const
+{
+    Tape tape;
+    Tensor logits = forward(tokens, &tape);
     Tensor dLogits;
     const double loss = crossEntropy(logits, targets, &dLogits);
 
-    Tensor dh = lmHead_->backward(dLogits);
+    Tensor dh = lmHead_->backward(dLogits, tape.lmHead, grads);
     if (finalNorm_)
-        dh = finalNorm_->backward(dh);
-    for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
-        dh = (*it)->backward(dh);
-    embedding_->backward(dh);
+        dh = finalNorm_->backward(dh, tape.finalNorm, grads);
+    for (size_t l = blocks_.size(); l-- > 0;)
+        dh = blocks_[l]->backward(dh, tape.blocks[l], grads);
+    embedding_->backward(dh, tokens, 0, grads);
     return loss;
 }
 
 double
 TransformerModel::loss(const TokenSeq &tokens,
-                       const std::vector<int> &targets)
+                       const std::vector<int> &targets) const
 {
     Tensor logits = forward(tokens);
     return crossEntropy(logits, targets, nullptr);
@@ -290,6 +312,12 @@ TransformerModel::linear(int64_t layer, WeightKind kind)
     return blocks_[static_cast<size_t>(layer)]->linear(kind);
 }
 
+const Linear &
+TransformerModel::linear(int64_t layer, WeightKind kind) const
+{
+    return const_cast<TransformerModel *>(this)->linear(layer, kind);
+}
+
 Status
 TransformerModel::applyTucker(int64_t layer, WeightKind kind,
                               int64_t prunedRank)
@@ -310,10 +338,9 @@ TransformerModel::paramCount() const
 bool
 TransformerModel::anyFactorized() const
 {
-    auto *self = const_cast<TransformerModel *>(this);
     for (int64_t l = 0; l < numLayers(); ++l)
         for (WeightKind k : decomposableKinds(cfg_.arch))
-            if (self->linear(l, k).isFactorized())
+            if (linear(l, k).isFactorized())
                 return true;
     return false;
 }
@@ -339,7 +366,7 @@ TransformerModel::serialize() const
     std::vector<std::tuple<uint64_t, uint32_t, uint64_t>> manifest;
     for (int64_t l = 0; l < numLayers(); ++l) {
         for (WeightKind kind : decomposableKinds(cfg_.arch)) {
-            const Linear &lin = self->linear(l, kind);
+            const Linear &lin = linear(l, kind);
             if (lin.isFactorized())
                 manifest.emplace_back(static_cast<uint64_t>(l),
                                       static_cast<uint32_t>(kind),
@@ -411,17 +438,8 @@ TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
     return model;
 }
 
-void
-TransformerModel::clearCache()
-{
-    for (auto &b : blocks_)
-        b->clearCache();
-    if (finalNorm_)
-        finalNorm_->clearCache();
-    lmHead_->clearCache();
-}
-
-InferenceSession::InferenceSession(TransformerModel &model) : model_(&model)
+InferenceSession::InferenceSession(const TransformerModel &model)
+    : model_(&model)
 {
     require(model.config().arch == Arch::LlamaStyle,
             "InferenceSession: KV-cache decoding is decoder-only");
@@ -462,7 +480,7 @@ InferenceSession::append(const TokenSeq &tokens)
 }
 
 double
-scoreContinuation(TransformerModel &model, const TokenSeq &context,
+scoreContinuation(const TransformerModel &model, const TokenSeq &context,
                   const TokenSeq &continuation)
 {
     require(!context.empty() && !continuation.empty(),
@@ -481,8 +499,8 @@ scoreContinuation(TransformerModel &model, const TokenSeq &context,
 }
 
 TokenSeq
-greedyGenerate(TransformerModel &model, const TokenSeq &prompt, int maxNew,
-               int stopToken)
+greedyGenerate(const TransformerModel &model, const TokenSeq &prompt,
+               int maxNew, int stopToken)
 {
     require(!prompt.empty(), "greedyGenerate: empty prompt");
     InferenceSession session(model);

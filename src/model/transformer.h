@@ -31,17 +31,31 @@ class TransformerBlock
   public:
     TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
 
-    Tensor forward(const Tensor &x);
-    Tensor backward(const Tensor &dy);
+    /** What backward() needs from one forward(). */
+    struct Tape
+    {
+        RmsNorm::Tape rms1, rms2;  ///< LlamaStyle.
+        LayerNorm::Tape ln1, ln2;  ///< BertStyle.
+        MultiHeadAttention::Tape attn;
+        Mlp::Tape mlp;
+
+        /** The recorded tape of one decomposable Linear. */
+        const Linear::Tape &linear(WeightKind kind) const;
+    };
+
+    /** Full-sequence forward; records into *tape if set. */
+    Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
+    /** Backward through the forward() that filled `tape`. */
+    Tensor backward(const Tensor &dy, const Tape &tape,
+                    const Grads &grads) const;
     /** Incremental decode step (LlamaStyle only). */
-    Tensor forwardCached(const Tensor &x, KvCache &cache);
+    Tensor forwardCached(const Tensor &x, KvCache &cache) const;
 
     /** Access any decomposable tensor of this layer by kind. */
     Linear &linear(WeightKind kind);
 
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
-    void clearCache();
 
   private:
     Arch arch_;
@@ -60,12 +74,29 @@ class TransformerModel
 
     const ModelConfig &config() const { return cfg_; }
 
-    /** Full-sequence forward; returns logits (T, vocab). */
-    Tensor forward(const TokenSeq &tokens);
+    /**
+     * Every activation backward() needs from one full-sequence
+     * forward. Owned by the caller: the model itself holds only
+     * weights, so any number of threads may run forwards (and
+     * backwards into separate Grads) through one model at once.
+     */
+    struct Tape
+    {
+        std::vector<TransformerBlock::Tape> blocks;
+        RmsNorm::Tape finalNorm; ///< LlamaStyle.
+        Linear::Tape lmHead;
+    };
+
+    /**
+     * Full-sequence forward; returns logits (T, vocab). With a tape
+     * the activations are recorded for backward(); without one this
+     * is pure inference and may take the fused factorized path.
+     */
+    Tensor forward(const TokenSeq &tokens, Tape *tape = nullptr) const;
 
     /**
      * Forward + mean cross-entropy over positions with target >= 0 +
-     * full backward (gradients accumulate into parameters).
+     * full backward, accumulating into each Parameter::grad.
      *
      * For causal LM training pass targets[i] = tokens[i + 1]; for MLM
      * pass the original token at masked positions and -1 elsewhere.
@@ -74,8 +105,15 @@ class TransformerModel
     double lossAndGrad(const TokenSeq &tokens,
                        const std::vector<int> &targets);
 
+    /** As lossAndGrad(), but accumulating into `grads` (built over
+     *  this model's parameters()); safe to run concurrently. */
+    double lossAndGradInto(const TokenSeq &tokens,
+                           const std::vector<int> &targets,
+                           const Grads &grads) const;
+
     /** Forward-only mean cross-entropy (no gradients). */
-    double loss(const TokenSeq &tokens, const std::vector<int> &targets);
+    double loss(const TokenSeq &tokens,
+                const std::vector<int> &targets) const;
 
     /** All trainable parameters (changes after factorization). */
     std::vector<Parameter *> parameters();
@@ -85,6 +123,7 @@ class TransformerModel
 
     /** Access a decomposable weight tensor. */
     Linear &linear(int64_t layer, WeightKind kind);
+    const Linear &linear(int64_t layer, WeightKind kind) const;
 
     /**
      * Factorize one weight with the given pruned rank (the paper's
@@ -101,7 +140,6 @@ class TransformerModel
     {
         return static_cast<int64_t>(blocks_.size());
     }
-    TransformerBlock &block(int64_t i) { return *blocks_[static_cast<size_t>(i)]; }
 
     /**
      * Serialize weights (v2 format). Factorized layers are stored as
@@ -112,8 +150,11 @@ class TransformerModel
     /** Restore a model saved by serialize() (reads v1 and v2). */
     static TransformerModel deserialize(const std::vector<uint8_t> &bytes);
 
-    /** Drop all cached activations. */
-    void clearCache();
+    /**
+     * No-op, kept for source compatibility: activations live in
+     * caller-owned tapes and sessions, never in the model.
+     */
+    void clearCache() {}
 
     /** Whether any linear layer is factorized. */
     bool anyFactorized() const;
@@ -129,14 +170,16 @@ class TransformerModel
 };
 
 /**
- * KV-cache incremental decoding session over a LlamaStyle model.
- * Sessions are cheaply copyable, which the evaluator uses to score
- * multiple choices against a shared context prefix.
+ * KV-cache incremental decoding session over a LlamaStyle model. The
+ * session owns all per-sequence state; the model is only read, so
+ * sessions on many threads may share one model. Sessions are cheaply
+ * copyable, which the evaluator uses to score multiple choices
+ * against a shared context prefix.
  */
 class InferenceSession
 {
   public:
-    explicit InferenceSession(TransformerModel &model);
+    explicit InferenceSession(const TransformerModel &model);
 
     /** Clear the caches; the session restarts at position 0. */
     void reset();
@@ -151,12 +194,13 @@ class InferenceSession
     int64_t length() const { return caches_.empty() ? 0 : caches_[0].len; }
 
   private:
-    TransformerModel *model_;
+    const TransformerModel *model_;
     std::vector<KvCache> caches_;
 };
 
 /** Sum of log-probabilities of `continuation` given `context`. */
-double scoreContinuation(TransformerModel &model, const TokenSeq &context,
+double scoreContinuation(const TransformerModel &model,
+                         const TokenSeq &context,
                          const TokenSeq &continuation);
 
 /**
@@ -164,8 +208,8 @@ double scoreContinuation(TransformerModel &model, const TokenSeq &context,
  * token until `maxNew` tokens are emitted or `stopToken` appears
  * (the stop token is not included in the result).
  */
-TokenSeq greedyGenerate(TransformerModel &model, const TokenSeq &prompt,
-                        int maxNew, int stopToken);
+TokenSeq greedyGenerate(const TransformerModel &model,
+                        const TokenSeq &prompt, int maxNew, int stopToken);
 
 } // namespace lrd
 

@@ -2,8 +2,12 @@
  * @file
  * Recovery policy for faults surfaced as Status: strict (fail fast,
  * the historical behavior), degrade (record the failed item and keep
- * sweeping, bounded by a failure budget), or retry (bounded
- * deterministic re-execution before degrading).
+ * sweeping, bounded by a failure budget), or retry (degrade, plus
+ * bounded reseeded re-runs at the one site whose retried computation
+ * differs: HOOI restarts from a reseeded random initialization).
+ * Deterministic bodies (eval items, trainer items, factorizations)
+ * are never retried — a real failure repeats exactly on identical
+ * input.
  *
  * Selected via LRD_ROBUST:
  *
@@ -33,7 +37,7 @@ enum class RobustMode : int
 {
     Strict,  ///< fatal() at the detection site.
     Degrade, ///< Record the failure, continue, enforce the budget.
-    Retry,   ///< Bounded deterministic retries, then degrade.
+    Retry,   ///< Degrade, plus reseeded HOOI restarts.
 };
 
 /** Stable lowercase name ("strict", "degrade", "retry"). */
@@ -44,7 +48,7 @@ struct RobustPolicy
 {
     RobustMode mode = RobustMode::Degrade;
     double failureBudget = 0.10; ///< Max failed fraction per sweep.
-    int maxRetries = 2;          ///< Bounded attempts in Retry mode.
+    int maxRetries = 2;          ///< Reseeded HOOI restarts in Retry mode.
 };
 
 /** Parse an LRD_ROBUST value. */
@@ -97,7 +101,7 @@ int64_t firstNonFinite(const float *p, int64_t n);
  * Handle a non-finite value detected at `site` (layer `layer`, flat
  * element `index`): strict mode fails fast with the location; the
  * other modes note the fault for the current item and let the caller
- * degrade or retry at the item boundary.
+ * degrade at the item boundary.
  */
 void reportNonFinite(const char *site, int64_t layer, int64_t index);
 

@@ -11,10 +11,10 @@
 
 namespace lrd {
 
-Batcher::Batcher(TransformerModel &primary, TransformerModel *fallback)
+Batcher::Batcher(const TransformerModel &primary,
+                 const TransformerModel *fallback)
+    : primary_(primary), fallback_(fallback != nullptr ? *fallback : primary)
 {
-    primary_.model = &primary;
-    fallback_.model = fallback != nullptr ? fallback : &primary;
 }
 
 void
@@ -35,77 +35,37 @@ Batcher::execute(const std::vector<ServeRequest> &batch, bool useFallback,
     // Serial point: consume the fault counter once per batch so the
     // poisoned item is the same at any LRD_THREADS.
     const bool poisonFirst = faultAt("serve.batch", FaultKind::Nan);
-    Variant &variant = useFallback ? fallback_ : primary_;
-    executeOn(variant, batch, useFallback, poisonFirst, tick, out);
-}
-
-void
-Batcher::executeOn(Variant &variant, const std::vector<ServeRequest> &batch,
-                   bool degraded, bool poisonFirst, int64_t tick,
-                   std::vector<ServeResponse *> &out)
-{
-    const auto n = static_cast<int64_t>(batch.size());
-    const auto scoreItem = [&](int64_t i, TransformerModel &m) {
-        LRD_TRACE_SPAN("serve.item");
-        const ServeRequest &req = batch[static_cast<size_t>(i)];
-        ServeResponse &resp = *out[static_cast<size_t>(i)];
-        resp.id = req.id;
-        resp.outcome = ServeOutcome::Responded;
-        resp.degraded = degraded;
-        resp.settledTick = tick;
-        if (poisonFirst && i == 0) {
-            resp.score = std::numeric_limits<double>::quiet_NaN();
-            resp.status = Status(StatusCode::NonFinite, "serve.batch",
-                                 "injected numeric fault");
-            return;
+    const TransformerModel &model = useFallback ? fallback_ : primary_;
+    const auto scoreRange = [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+            LRD_TRACE_SPAN("serve.item");
+            const ServeRequest &req = batch[static_cast<size_t>(i)];
+            ServeResponse &resp = *out[static_cast<size_t>(i)];
+            resp.id = req.id;
+            resp.outcome = ServeOutcome::Responded;
+            resp.degraded = useFallback;
+            resp.settledTick = tick;
+            if (poisonFirst && i == 0) {
+                resp.score = std::numeric_limits<double>::quiet_NaN();
+                resp.status = Status(StatusCode::NonFinite, "serve.batch",
+                                     "injected numeric fault");
+                continue;
+            }
+            resp.score =
+                scoreContinuation(model, req.context, req.continuation);
+            if (!std::isfinite(resp.score))
+                resp.status = Status(StatusCode::NonFinite, "serve.batch",
+                                     "non-finite continuation score");
         }
-        resp.score = scoreContinuation(m, req.context, req.continuation);
-        if (!std::isfinite(resp.score))
-            resp.status = Status(StatusCode::NonFinite, "serve.batch",
-                                 "non-finite continuation score");
     };
 
+    const auto n = static_cast<int64_t>(batch.size());
     ThreadPool &pool = ThreadPool::instance();
     if (pool.numThreads() <= 1 || n <= 1 || ThreadPool::inParallelRegion()
-        || ThreadPool::workerIndex() != 0) {
-        for (int64_t i = 0; i < n; ++i)
-            scoreItem(i, *variant.model);
-        return;
-    }
-
-    // Lazy, once per variant: the snapshot every worker replica is
-    // deserialized from. Taken here (a serial point) so replicas are
-    // bitwise copies of the model as of its first parallel batch —
-    // serve never mutates weights, so the snapshot stays valid.
-    if (variant.snapshot.empty())
-        variant.snapshot = variant.model->serialize();
-    if (variant.replicas.size()
-        != static_cast<size_t>(pool.numThreads()))
-        variant.replicas.resize(static_cast<size_t>(pool.numThreads()));
-
-    pool.parallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-        const auto w = static_cast<size_t>(ThreadPool::workerIndex());
-        TransformerModel *m = variant.model;
-        if (w != 0) {
-            // Each worker index is owned by exactly one live thread,
-            // so lazy slot initialization is race-free.
-            if (!variant.replicas[w])
-                // lrd-lint: allow(hot-path-alloc) per-worker model replica: one allocation per worker per server lifetime
-                variant.replicas[w] = std::make_unique<TransformerModel>(
-                    TransformerModel::deserialize(variant.snapshot));
-            m = variant.replicas[w].get();
-        }
-        for (int64_t i = lo; i < hi; ++i)
-            scoreItem(i, *m);
-    });
-}
-
-void
-Batcher::clearCaches()
-{
-    primary_.model->clearCache();
-    if (fallback_.model != primary_.model)
-        fallback_.model->clearCache();
+        || ThreadPool::workerIndex() != 0)
+        scoreRange(0, n);
+    else
+        pool.parallelFor(0, n, 1, scoreRange);
 }
 
 } // namespace lrd

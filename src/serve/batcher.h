@@ -1,17 +1,14 @@
 /**
  * @file
  * The continuous batcher: executes one tick's batch of sequence-
- * scoring requests on the thread pool, replica-per-worker, writing
- * each response into its request's fixed slot.
+ * scoring requests on the thread pool, writing each response into its
+ * request's fixed slot.
  *
- * Determinism contract (same as the evaluator's, PR 5): worker 0
- * scores on the live model; workers 1..N-1 score on private replicas
- * deserialized from one serialize() snapshot, so weights are bitwise
- * identical everywhere, items are independent, and each item writes
- * only its own slot — response content is invariant under
- * LRD_THREADS. Replicas and snapshots are cached across batches (a
- * server scores thousands of batches; re-serializing per batch would
- * dwarf the model math).
+ * Determinism contract (same as the evaluator's): every worker scores
+ * on the one shared serving model — inference is a const function of
+ * the weights and each request's KV cache lives in its own session —
+ * items are independent, and each item writes only its own slot, so
+ * response content is invariant under LRD_THREADS.
  *
  * Fault hook: the serve.batch nan site is checked ONCE per batch on
  * the control thread before the parallel region, and deterministically
@@ -23,7 +20,6 @@
 #define LRD_SERVE_BATCHER_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "model/transformer.h"
@@ -41,7 +37,8 @@ class Batcher
      *        ladder's RankFallback rung (borrowed; may be null, in
      *        which case fallback execution uses the primary).
      */
-    Batcher(TransformerModel &primary, TransformerModel *fallback);
+    Batcher(const TransformerModel &primary,
+            const TransformerModel *fallback);
 
     /**
      * Score `batch` and write outcome/score/status into the matching
@@ -52,23 +49,9 @@ class Batcher
     void execute(const std::vector<ServeRequest> &batch, bool useFallback,
                  int64_t tick, std::vector<ServeResponse *> &out);
 
-    /** Drop cached activation state on the live models (drain path). */
-    void clearCaches();
-
   private:
-    struct Variant
-    {
-        TransformerModel *model = nullptr;
-        std::vector<uint8_t> snapshot; ///< Lazy; empty until needed.
-        std::vector<std::unique_ptr<TransformerModel>> replicas;
-    };
-
-    void executeOn(Variant &variant, const std::vector<ServeRequest> &batch,
-                   bool degraded, bool poisonFirst, int64_t tick,
-                   std::vector<ServeResponse *> &out);
-
-    Variant primary_;
-    Variant fallback_;
+    const TransformerModel &primary_;
+    const TransformerModel &fallback_;
 };
 
 } // namespace lrd

@@ -382,7 +382,6 @@ Server::run(std::vector<ServeRequest> workload)
     for (; nextArrival < workload.size(); ++nextArrival)
         settleDrained(workload[nextArrival], "never offered");
     report.status = drainStatus;
-    batcher.clearCaches();
 
     // Report: deterministic nearest-rank quantiles over tick
     // latencies of responded requests.

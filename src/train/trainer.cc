@@ -1,7 +1,7 @@
 #include "trainer.h"
 
 #include <cmath>
-#include <memory>
+#include <algorithm>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -86,21 +86,6 @@ Trainer::makeExample(TokenSeq &tokens, std::vector<int> &targets)
     }
 }
 
-namespace {
-
-/** Copy a model's accumulated gradients into one flat buffer. */
-void
-extractGrads(const std::vector<Parameter *> &params,
-             std::vector<float> &out)
-{
-    out.clear();
-    for (Parameter *p : params)
-        out.insert(out.end(), p->grad.storage().begin(),
-                   p->grad.storage().end());
-}
-
-} // namespace
-
 void
 Trainer::writeTrainCheckpoint(const AdamW &optimizer, int nextStep)
 {
@@ -175,37 +160,34 @@ Trainer::run()
 
     /*
      * Batch items are independent given the example stream, so each
-     * item's gradient is computed into its own buffer (on a private
-     * model replica when the pool has more than one thread) and the
-     * buffers are reduced in fixed item order. The summation tree is
-     * therefore identical at every LRD_THREADS setting: bitwise
-     * deterministic training. Examples are always drawn serially so
-     * the corpus/mask RNG streams match the sequential trainer.
+     * item backpropagates through the one shared model into its own
+     * gradient buffer (the model holds no per-call state; each item's
+     * activations live on its own tape), and the buffers are reduced
+     * in fixed item order. The summation tree is therefore identical
+     * at every LRD_THREADS setting: bitwise deterministic training.
+     * Examples are always drawn serially so the corpus/mask RNG
+     * streams match the sequential trainer.
      */
-    ThreadPool &pool = ThreadPool::instance();
-    const int numWorkers = std::min(pool.numThreads(), opts_.batchSeqs);
-    std::vector<std::unique_ptr<TransformerModel>> replicas;
-    if (numWorkers > 1) {
-        const std::vector<uint8_t> snapshot = model_.serialize();
-        // lrd-lint: allow(hot-path-alloc) per-worker replicas: sized once per run, before the epoch loop
-        replicas.resize(static_cast<size_t>(pool.numThreads()));
-        for (int w = 1; w < pool.numThreads(); ++w)
-            replicas[static_cast<size_t>(w)] =
-                // lrd-lint: allow(hot-path-alloc) per-worker replica, once per run
-                std::make_unique<TransformerModel>(
-                    TransformerModel::deserialize(snapshot));
-    }
-    const std::vector<Parameter *> masterParams = model_.parameters();
+    const std::vector<Parameter *> params = model_.parameters();
+    size_t numGrads = 0;
+    for (const Parameter *p : params)
+        numGrads += static_cast<size_t>(p->size());
+    const auto batch = static_cast<size_t>(opts_.batchSeqs);
+    std::vector<std::vector<float>> itemGrads(
+        batch, std::vector<float>(numGrads));
+    std::vector<Grads> itemSinks;
+    // lrd-lint: allow(hot-path-alloc) per-item gradient sinks: built once per run, before the step loop
+    itemSinks.reserve(batch);
+    for (std::vector<float> &g : itemGrads)
+        // lrd-lint: allow(hot-path-alloc) per-item gradient sinks: built once per run, before the step loop
+        itemSinks.emplace_back(params, g);
 
     Timer timer;
     double lastLoss = 0.0;
-    std::vector<TokenSeq> tokens(static_cast<size_t>(opts_.batchSeqs));
-    std::vector<std::vector<int>> targets(
-        static_cast<size_t>(opts_.batchSeqs));
-    std::vector<std::vector<float>> itemGrads(
-        static_cast<size_t>(opts_.batchSeqs));
-    std::vector<double> itemLoss(static_cast<size_t>(opts_.batchSeqs));
-    std::vector<Status> itemStatus(static_cast<size_t>(opts_.batchSeqs));
+    std::vector<TokenSeq> tokens(batch);
+    std::vector<std::vector<int>> targets(batch);
+    std::vector<double> itemLoss(batch);
+    std::vector<Status> itemStatus(batch);
 
     static Counter *stepCounter =
         MetricsRegistry::instance().counter("train.steps");
@@ -238,60 +220,24 @@ Trainer::run()
             makeExample(tokens[static_cast<size_t>(b)],
                         targets[static_cast<size_t>(b)]);
 
-        // Push the optimizer's latest weights into every replica.
-        for (auto &replica : replicas) {
-            if (!replica)
-                continue;
-            const auto rp = replica->parameters();
-            for (size_t j = 0; j < masterParams.size(); ++j)
-                rp[j]->value.storage() =
-                    masterParams[j]->value.storage();
-        }
-
-        pool.parallelFor(0, opts_.batchSeqs, 1,
-                         [&](int64_t lo, int64_t hi) {
-            const auto w =
-                static_cast<size_t>(ThreadPool::workerIndex());
-            TransformerModel &m = (w == 0 || replicas.empty()
-                                   || !replicas[w])
-                                      ? model_
-                                      : *replicas[w];
-            const auto params = m.parameters();
+        ThreadPool::instance().parallelFor(
+            0, opts_.batchSeqs, 1, [&](int64_t lo, int64_t hi) {
             for (int64_t b = lo; b < hi; ++b) {
                 LRD_TRACE_SPAN("train.item");
-                // The recovery policy resolves each item on the
-                // worker that owns it: the noted numeric fault (or a
-                // non-finite loss) marks the item's fixed slot, and
-                // retry re-runs the item in place — injected faults
-                // are consumed by their counters, so a retry clears.
+                // A noted numeric fault (or a non-finite loss) marks
+                // the item's fixed slot; the recovery policy resolves
+                // it after the batch. There is no retry: the item is
+                // deterministic, so a real failure repeats exactly.
+                const auto i = static_cast<size_t>(b);
                 (void)takeNumericFault();
-                const RobustPolicy policy = robustPolicy();
-                const int attempts =
-                    policy.mode == RobustMode::Retry
-                        ? policy.maxRetries + 1
-                        : 1;
-                Status st;
-                for (int attempt = 0; attempt < attempts; ++attempt) {
-                    if (attempt > 0)
-                        noteRetry();
-                    m.zeroGrad();
-                    itemLoss[static_cast<size_t>(b)] = m.lossAndGrad(
-                        tokens[static_cast<size_t>(b)],
-                        targets[static_cast<size_t>(b)]);
-                    st = takeNumericFault();
-                    if (st.ok()
-                        && !std::isfinite(
-                            itemLoss[static_cast<size_t>(b)]))
-                        st = Status(
-                            StatusCode::NonFinite, "train.item",
-                            strCat("non-finite loss at batch item ", b));
-                    if (st.ok()) {
-                        extractGrads(params,
-                                     itemGrads[static_cast<size_t>(b)]);
-                        break;
-                    }
-                }
-                itemStatus[static_cast<size_t>(b)] = st;
+                std::fill(itemGrads[i].begin(), itemGrads[i].end(), 0.0F);
+                itemLoss[i] = model_.lossAndGradInto(tokens[i], targets[i],
+                                                     itemSinks[i]);
+                Status st = takeNumericFault();
+                if (st.ok() && !std::isfinite(itemLoss[i]))
+                    st = Status(StatusCode::NonFinite, "train.item",
+                                strCat("non-finite loss at batch item ", b));
+                itemStatus[i] = st;
             }
         });
 
@@ -323,7 +269,7 @@ Trainer::run()
             const std::vector<float> &g =
                 itemGrads[static_cast<size_t>(b)];
             size_t off = 0;
-            for (Parameter *p : masterParams) {
+            for (Parameter *p : params) {
                 float *pg = p->grad.data();
                 for (int64_t i = 0; i < p->grad.size(); ++i)
                     pg[i] += g[off++];
@@ -341,7 +287,7 @@ Trainer::run()
                                  opts_.batchSeqs, firstBad);
         }
         // Average the accumulated gradients over the surviving items.
-        for (Parameter *p : masterParams)
+        for (Parameter *p : params)
             for (int64_t i = 0; i < p->grad.size(); ++i)
                 p->grad[i] /= static_cast<float>(numGood);
         lastLoss = lossSum / numGood;
@@ -360,7 +306,6 @@ Trainer::run()
         }
         noteProgress("train.step");
     }
-    model_.clearCache();
     return lastLoss;
 }
 
@@ -390,7 +335,6 @@ Trainer::evalLoss(int numDocs, uint64_t seed)
         }
         sum += model_.loss(tokens, targets);
     }
-    model_.clearCache();
     return sum / numDocs;
 }
 

@@ -1,6 +1,7 @@
 #include "table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -110,6 +111,20 @@ TablePrinter::num(double v, int precision)
     std::ostringstream oss;
     oss << std::fixed << std::setprecision(precision) << v;
     return oss.str();
+}
+
+std::string
+TablePrinter::scaled(double v)
+{
+    static constexpr struct
+    {
+        double div;
+        const char *unit;
+    } kUnits[] = {{1e9, "B"}, {1e6, "M"}, {1e3, "K"}};
+    for (const auto &u : kUnits)
+        if (std::abs(v) >= u.div)
+            return num(v / u.div) + " " + u.unit;
+    return num(v);
 }
 
 } // namespace lrd

@@ -46,6 +46,13 @@ class TablePrinter
     /** Format a double with the given precision (helper for cells). */
     static std::string num(double v, int precision = 3);
 
+    /**
+     * Format a count in the largest fitting unit of K (1e3), M (1e6)
+     * or B (1e9): 443584 -> "443.584 K", 6.738e9 -> "6.738 B". Counts
+     * below 1000 print without a unit.
+     */
+    static std::string scaled(double v);
+
   private:
     std::string title_;
     std::vector<std::string> header_;

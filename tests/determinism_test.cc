@@ -7,8 +7,9 @@
  *
  * This suite is the one the verify script re-runs under
  * -DLRD_SANITIZE=thread: it exercises the pool from a single posting
- * thread across resize cycles, which is exactly the usage TSan must
- * see clean.
+ * thread across resize cycles, and one model shared by every worker
+ * of the evaluator, a serve batch and a trainer step, which is
+ * exactly the usage TSan must see clean.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +23,13 @@
 #include "model/linear.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
+#include "serve/batcher.h"
+#include "serve/workload.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
 #include "train/model_zoo.h"
 #include "train/trainer.h"
+#include "util/memprobe.h"
 
 namespace lrd {
 namespace {
@@ -213,6 +217,126 @@ TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
         EXPECT_TRUE(bitwiseEqual(y1, y4)) << dim << "/" << rank;
         EXPECT_TRUE(bitwiseEqual(y1, yN)) << dim << "/" << rank;
     }
+}
+
+/**
+ * A decoder whose weights outweigh the per-item state (two KV-cache
+ * sessions of maxSeq rows, or one short training tape) of three extra
+ * in-flight items, so the tensor-arena high-water mark tells a
+ * per-worker weight copy apart from per-item activations.
+ */
+ModelConfig
+sharedModelConfig()
+{
+    ModelConfig c = tinyLlamaConfig();
+    c.name = "shared-llama";
+    c.dFf = 512;
+    c.maxSeq = 48;
+    return c;
+}
+
+/** Peak live tensor bytes above the starting level while fn runs. */
+template <class Fn>
+int64_t
+arenaGrowth(Fn fn)
+{
+    const int64_t base = tensorArenaStats().liveBytes;
+    tensorArenaResetPeakForTest();
+    fn();
+    return tensorArenaStats().peakLiveBytes - base;
+}
+
+/**
+ * One model, shared by every pool worker: the evaluator, a serve
+ * batch and a trainer step at 4 threads must reproduce 1 thread
+ * bitwise, and must not hold a weight copy per worker. The 4-thread
+ * runs go first so the workers race on the first pack of the fused
+ * path's factor panels; the trained weights are then re-scored so a
+ * repack after an optimizer write races too.
+ */
+TEST(Determinism, OneSharedModelAcrossEvalServeAndTrain)
+{
+    const World &world = defaultWorld();
+    const ModelConfig cfg = sharedModelConfig();
+    std::vector<uint8_t> start;
+    {
+        TransformerModel model(cfg, 4321);
+        // Factorized tensors exercise the shared fused path.
+        ASSERT_TRUE(model.applyTucker(0, WeightKind::Query, 8).ok());
+        ASSERT_TRUE(model.applyTucker(1, WeightKind::Gate, 8).ok());
+        start = model.serialize();
+    }
+    const int64_t weightBytes =
+        TransformerModel::deserialize(start).paramCount()
+        * static_cast<int64_t>(sizeof(float));
+
+    WorkloadOptions wopts;
+    wopts.numRequests = 8;
+    wopts.maxContextLen = 24;
+    const std::vector<ServeRequest> requests =
+        makeSyntheticWorkload(cfg, wopts);
+
+    TrainOptions topts;
+    topts.steps = 1;
+    topts.batchSeqs = 4;
+    topts.seqLen = 8;
+    topts.warmupSteps = 1;
+    topts.logEvery = 0;
+
+    struct Outcome
+    {
+        double accuracy = 0.0;
+        int64_t evalGrowth = 0;
+        std::vector<double> scores;
+        int64_t serveGrowth = 0;
+        std::vector<uint8_t> trained;
+        int64_t trainGrowth = 0;
+        double trainedAccuracy = 0.0;
+    };
+    const auto runAt = [&](int threads) {
+        ThreadPool::instance().resize(threads);
+        Outcome o;
+        TransformerModel model = TransformerModel::deserialize(start);
+        Evaluator ev(model, world, EvalOptions{6, 99, false});
+        o.evalGrowth =
+            arenaGrowth([&] { o.accuracy = ev.aggregateAccuracy(); });
+
+        Batcher batcher(model, nullptr);
+        std::vector<ServeResponse> responses(requests.size());
+        std::vector<ServeResponse *> slots;
+        for (ServeResponse &r : responses)
+            slots.push_back(&r);
+        o.serveGrowth = arenaGrowth(
+            [&] { batcher.execute(requests, false, 0, slots); });
+        for (const ServeResponse &r : responses) {
+            EXPECT_TRUE(r.status.ok()) << r.status.toString();
+            o.scores.push_back(r.score);
+        }
+
+        Trainer trainer(model, world, topts);
+        o.trainGrowth = arenaGrowth([&] { (void)trainer.run(); });
+        o.trained = model.serialize();
+        o.trainedAccuracy = ev.aggregateAccuracy();
+        return o;
+    };
+    const Outcome four = runAt(4);
+    const Outcome one = runAt(1);
+
+    EXPECT_EQ(one.accuracy, four.accuracy);
+    ASSERT_EQ(one.scores.size(), four.scores.size());
+    EXPECT_EQ(0, std::memcmp(one.scores.data(), four.scores.data(),
+                             one.scores.size() * sizeof(double)));
+    EXPECT_EQ(one.trained, four.trained);
+    EXPECT_EQ(one.trainedAccuracy, four.trainedAccuracy);
+
+    // More workers may hold more items' sessions and tapes in flight,
+    // but never another copy of the weights.
+    EXPECT_LT(four.evalGrowth - one.evalGrowth, weightBytes)
+        << "eval: " << four.evalGrowth << " vs " << one.evalGrowth;
+    EXPECT_LT(four.serveGrowth - one.serveGrowth, weightBytes)
+        << "serve: " << four.serveGrowth << " vs " << one.serveGrowth;
+    EXPECT_LT(four.trainGrowth - one.trainGrowth, weightBytes)
+        << "train: " << four.trainGrowth << " vs " << one.trainGrowth;
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "eval/evaluator.h"
 #include "hw/opcount.h"
 #include "train/trainer.h"
+#include "util/table.h"
 
 namespace lrd {
 namespace {
@@ -223,6 +224,22 @@ TEST(Integration, EvalIsDeterministicAcrossProcessesViaSerialization)
         EXPECT_EQ(evA.run(kind).numCorrect, evB.run(kind).numCorrect)
             << benchmarkName(kind);
     }
+}
+
+/** `lrdtool info` prints parameter counts through
+ *  TablePrinter::scaled: the tiny presets must not collapse to
+ *  "0.000 B", and the paper's presets keep their billions. */
+TEST(Integration, PresetParamCountsPrintInScaledUnits)
+{
+    EXPECT_EQ(TablePrinter::scaled(
+                  static_cast<double>(tinyLlamaConfig().totalParams())),
+              "443.456 K");
+    EXPECT_EQ(TablePrinter::scaled(
+                  static_cast<double>(bertBaseConfig().totalParams())),
+              "132.329 M");
+    EXPECT_EQ(TablePrinter::scaled(
+                  static_cast<double>(llama2_7bConfig().totalParams())),
+              "6.738 B");
 }
 
 } // namespace

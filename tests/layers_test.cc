@@ -21,26 +21,28 @@ namespace lrd {
 namespace {
 
 /**
- * Generic FD gradient check for a module mapping (n, d) -> (n, e).
+ * Generic FD gradient check for a layer mapping (n, d) -> (n, e).
  * Loss = sum of (output .* weights) for a fixed random weighting, so
- * dLoss/dOutput is that weighting.
+ * dLoss/dOutput is that weighting. The analytic gradients come from
+ * one taped forward + backward; the numeric ones from untaped
+ * (inference) forwards, which must leave the tape valid.
  */
-template <typename Forward, typename Backward>
+template <typename Layer>
 void
-checkModuleGradients(Forward fwd, Backward bwd,
-                     std::vector<Parameter *> params, const Tensor &x,
-                     double tol = 0.08)
+checkModuleGradients(const Layer &layer, std::vector<Parameter *> params,
+                     const Tensor &x, double tol = 0.08)
 {
     Rng rng(321);
-    Tensor y = fwd(x);
+    typename Layer::Tape tape;
+    Tensor y = layer.forward(x, &tape);
     Tensor dY = Tensor::randn(y.shape(), rng);
 
     for (Parameter *p : params)
         p->zeroGrad();
-    Tensor dX = bwd(dY);
+    Tensor dX = layer.backward(dY, tape, Grads(params));
 
     auto lossAt = [&](const Tensor &input) {
-        Tensor out = fwd(input);
+        Tensor out = layer.forward(input);
         return dot(out, dY);
     };
 
@@ -65,12 +67,7 @@ checkModuleGradients(Forward fwd, Backward bwd,
         if (std::abs(numeric - analytic) / scale > tol)
             ++failed;
     }
-    // Re-run forward/backward to restore caches, then check parameter
-    // gradients.
-    (void)fwd(x);
-    for (Parameter *p : params)
-        p->zeroGrad();
-    (void)bwd(dY);
+    // Parameter gradients from the same backward pass.
     for (Parameter *p : params) {
         for (int s = 0; s < 4; ++s) {
             const auto i = static_cast<int64_t>(
@@ -100,10 +97,7 @@ TEST(LayerGrad, RmsNorm)
     Rng rng(1);
     RmsNorm norm(12, "t");
     Tensor x = Tensor::randn({5, 12}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return norm.forward(in); },
-        [&](const Tensor &dy) { return norm.backward(dy); },
-        norm.parameters(), x);
+    checkModuleGradients(norm, norm.parameters(), x);
 }
 
 TEST(LayerGrad, LayerNorm)
@@ -111,10 +105,7 @@ TEST(LayerGrad, LayerNorm)
     Rng rng(2);
     LayerNorm norm(10, "t");
     Tensor x = Tensor::randn({4, 10}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return norm.forward(in); },
-        [&](const Tensor &dy) { return norm.backward(dy); },
-        norm.parameters(), x);
+    checkModuleGradients(norm, norm.parameters(), x);
 }
 
 TEST(LayerGrad, LinearDenseWithBias)
@@ -122,10 +113,7 @@ TEST(LayerGrad, LinearDenseWithBias)
     Rng rng(3);
     Linear lin(7, 9, true, "t", rng);
     Tensor x = Tensor::randn({4, 9}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return lin.forward(in); },
-        [&](const Tensor &dy) { return lin.backward(dy); },
-        lin.parameters(), x);
+    checkModuleGradients(lin, lin.parameters(), x);
 }
 
 TEST(LayerGrad, LinearFactorized)
@@ -134,10 +122,7 @@ TEST(LayerGrad, LinearFactorized)
     Linear lin(8, 10, false, "t", rng);
     ASSERT_TRUE(lin.factorize(3).ok());
     Tensor x = Tensor::randn({5, 10}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return lin.forward(in); },
-        [&](const Tensor &dy) { return lin.backward(dy); },
-        lin.parameters(), x);
+    checkModuleGradients(lin, lin.parameters(), x);
 }
 
 TEST(LayerGrad, SwigluMlp)
@@ -146,10 +131,7 @@ TEST(LayerGrad, SwigluMlp)
     ModelConfig cfg = testLlamaConfig();
     Mlp mlp(cfg, 0, rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return mlp.forward(in); },
-        [&](const Tensor &dy) { return mlp.backward(dy); },
-        mlp.parameters(), x);
+    checkModuleGradients(mlp, mlp.parameters(), x);
 }
 
 TEST(LayerGrad, GeluMlp)
@@ -158,10 +140,7 @@ TEST(LayerGrad, GeluMlp)
     ModelConfig cfg = testBertConfig();
     Mlp mlp(cfg, 0, rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return mlp.forward(in); },
-        [&](const Tensor &dy) { return mlp.backward(dy); },
-        mlp.parameters(), x);
+    checkModuleGradients(mlp, mlp.parameters(), x);
 }
 
 TEST(LayerGrad, CausalAttentionWithRope)
@@ -170,10 +149,7 @@ TEST(LayerGrad, CausalAttentionWithRope)
     ModelConfig cfg = testLlamaConfig();
     MultiHeadAttention attn(cfg, 0, rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return attn.forward(in); },
-        [&](const Tensor &dy) { return attn.backward(dy); },
-        attn.parameters(), x);
+    checkModuleGradients(attn, attn.parameters(), x);
 }
 
 TEST(LayerGrad, BidirectionalAttention)
@@ -182,10 +158,7 @@ TEST(LayerGrad, BidirectionalAttention)
     ModelConfig cfg = testBertConfig();
     MultiHeadAttention attn(cfg, 0, rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
-    checkModuleGradients(
-        [&](const Tensor &in) { return attn.forward(in); },
-        [&](const Tensor &dy) { return attn.backward(dy); },
-        attn.parameters(), x);
+    checkModuleGradients(attn, attn.parameters(), x);
 }
 
 TEST(Norms, RmsNormOutputHasUnitRms)

@@ -164,6 +164,29 @@ TEST(Model, ForwardShapeAndFiniteness)
     }
 }
 
+/** The model holds only weights: a taped forward records into the
+ *  caller's tape, leaves the weights untouched, and matches the
+ *  untaped forward bitwise; clearCache() is a documented no-op. */
+TEST(Model, ForwardHoldsNoStateAndClearCacheIsANoOp)
+{
+    for (const ModelConfig &cfg : {testLlamaConfig(), testBertConfig()}) {
+        TransformerModel m(cfg);
+        Rng rng(16);
+        TokenSeq toks = randomTokens(cfg, 8, rng);
+        const std::vector<uint8_t> weights = m.serialize();
+        TransformerModel::Tape tape;
+        const Tensor taped = m.forward(toks, &tape);
+        EXPECT_EQ(static_cast<int64_t>(tape.blocks.size()), cfg.nLayers);
+        EXPECT_EQ(tape.lmHead.x.dim(0), 8) << cfg.name;
+        EXPECT_EQ(m.serialize(), weights) << cfg.name;
+        m.clearCache();
+        const Tensor plain = m.forward(toks);
+        ASSERT_EQ(taped.shape(), plain.shape());
+        for (int64_t i = 0; i < taped.size(); ++i)
+            ASSERT_EQ(taped[i], plain[i]) << cfg.name << " at " << i;
+    }
+}
+
 TEST(Model, ForwardRejectsOverlongSequence)
 {
     ModelConfig cfg = testLlamaConfig();

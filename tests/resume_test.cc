@@ -3,8 +3,8 @@
  * End-to-end fault-tolerance tests: trainer and DSE kill-and-resume
  * (an injected cancellation mid-run, then a resumed run that must be
  * bitwise identical to the uninterrupted one at every thread count),
- * evaluator failure budgets under poisoned activations, retry-based
- * healing, and recovery-policy behavior of the factorization path.
+ * evaluator failure budgets under poisoned activations, and
+ * recovery-policy behavior of the factorization path.
  */
 
 #include <gtest/gtest.h>
@@ -382,34 +382,6 @@ TEST(Resume, EvaluatorDegradesInjectedAllocFailure)
     EXPECT_EQ(r.numTasks, 12);
 }
 
-TEST(Resume, RetryHealsAPoisonedItemAtEveryThreadCount)
-{
-    RobustGuard guard;
-    TransformerModel model(smallConfig(), 42);
-    Evaluator ev(model, smallWorld(), EvalOptions{12, 5, false});
-    ThreadPool::instance().resize(1);
-    const EvalResult clean = ev.run(BenchmarkKind::ArcEasy);
-
-    RobustPolicy retry;
-    retry.mode = RobustMode::Retry;
-    retry.maxRetries = 2;
-    retry.failureBudget = 0.0; // Any unhealed failure would be fatal.
-    setRobustPolicy(retry);
-    for (int nThreads : {1, 4, 8}) {
-        ThreadPool::instance().resize(nThreads);
-        setFault(FaultSpec{"model.block", FaultKind::Nan, 1});
-        const EvalResult healed = ev.run(BenchmarkKind::ArcEasy);
-        clearFaults();
-        // The injected NaN is consumed by its occurrence counter, so
-        // the bounded retry re-scores the item cleanly: zero failures
-        // and the exact clean result, whichever worker hit the fault.
-        EXPECT_EQ(healed.numFailed, 0) << "threads=" << nThreads;
-        EXPECT_EQ(healed.numCorrect, clean.numCorrect)
-            << "threads=" << nThreads;
-    }
-    ThreadPool::instance().resize(1);
-}
-
 TEST(Resume, FactorizeDegradeKeepsDenseOnNonConvergence)
 {
     RobustGuard guard;
@@ -425,24 +397,6 @@ TEST(Resume, FactorizeDegradeKeepsDenseOnNonConvergence)
     // usable.
     EXPECT_FALSE(model.linear(0, WeightKind::Query).isFactorized());
     EXPECT_EQ(model.paramCount(), denseParams);
-}
-
-TEST(Resume, FactorizeRetryHealsForcedNonConvergence)
-{
-    RobustGuard guard;
-    ThreadPool::instance().resize(1);
-    RobustPolicy retry;
-    retry.mode = RobustMode::Retry;
-    retry.maxRetries = 2;
-    setRobustPolicy(retry);
-
-    TransformerModel model(smallConfig(), 42);
-    setFault(FaultSpec{"jacobi", FaultKind::NonConverge, 1});
-    const Status s = model.applyTucker(0, WeightKind::Query, 2);
-    clearFaults();
-    // The forced non-convergence fires once; the retry factorizes.
-    EXPECT_TRUE(s.ok()) << s.toString();
-    EXPECT_TRUE(model.linear(0, WeightKind::Query).isFactorized());
 }
 
 TEST(Resume, StrictPolicyFailsFastOnNonConvergence)

@@ -127,16 +127,21 @@ cmdInfo(const std::string &preset)
                 static_cast<long long>(cfg.nHeads),
                 static_cast<long long>(cfg.dFf),
                 static_cast<long long>(cfg.maxSeq));
-    std::printf("  total params        %.3f B\n",
-                static_cast<double>(cfg.totalParams()) / 1e9);
-    std::printf("  decomposable params %.3f B (%.1f%%) across %lld "
+    const auto total = static_cast<double>(cfg.totalParams());
+    const auto decomposable =
+        static_cast<double>(cfg.allDecomposableParams());
+    std::printf("  total params        %s\n",
+                TablePrinter::scaled(total).c_str());
+    std::printf("  decomposable params %s (%.1f%%) across %lld "
                 "tensors/layer\n",
-                static_cast<double>(cfg.allDecomposableParams()) / 1e9,
-                100.0 * static_cast<double>(cfg.allDecomposableParams())
-                    / static_cast<double>(cfg.totalParams()),
+                TablePrinter::scaled(decomposable).c_str(),
+                100.0 * decomposable / total,
                 static_cast<long long>(cfg.numDecomposableTensors()));
-    std::printf("  FP16 size           %.2f GB\n",
-                static_cast<double>(cfg.totalParams()) * 2 / 1e9);
+    const double fp16Bytes = total * 2;
+    std::printf("  FP16 size           %s\n",
+                fp16Bytes >= 1e9
+                    ? (TablePrinter::num(fp16Bytes / 1e9, 2) + " GB").c_str()
+                    : (TablePrinter::num(fp16Bytes / 1e6, 2) + " MB").c_str());
     for (WeightKind kind : decomposableKinds(cfg.arch)) {
         const auto shape = cfg.weightShape(kind);
         std::printf("    %-5s %lld x %lld (break-even rank %lld)\n",
