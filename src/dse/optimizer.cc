@@ -118,14 +118,13 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
 
     OptimizerResult result;
 
-    // EDP is computed either on the probe model's own shape or
-    // projected onto the full Llama2-7B shape at the same reduction.
+    // EDP is projected onto the full-size Llama2-7B shape at the
+    // candidate's parameter-reduction rate, while accuracy is measured
+    // on the live stand-in model: accuracy from the trainable model,
+    // efficiency from the paper's real model shape.
     const ModelConfig edpShape = llama2_7bConfig();
     auto edpEstimate = [&](const ModelConfig &probeCfg,
                            const DecompConfig &gamma) {
-        if (!opts.projectEdpOnLlama7b)
-            return estimateGeneration(probeCfg, gamma, opts.device,
-                                      opts.workload);
         const DecompConfig projected = scheduleForReduction(
             edpShape, gamma.parameterReduction(probeCfg));
         return estimateGeneration(edpShape, projected, opts.device,

@@ -32,14 +32,6 @@ struct OptimizerOptions
     std::vector<int64_t> candidateRanks = {1}; ///< Insight: rank-1.
     DeviceSpec device;                         ///< Default: A100.
     GenerationWorkload workload;               ///< EDP workload.
-    /**
-     * When true, EDP is projected onto the full-size Llama2-7B shape
-     * at the candidate's parameter-reduction rate (accuracy is still
-     * measured on the live stand-in model). This mirrors the repo's
-     * substitution methodology: accuracy from the trainable model,
-     * efficiency from the paper's real model shape.
-     */
-    bool projectEdpOnLlama7b = true;
 
     /** Checkpoint file; empty disables checkpointing. */
     std::string checkpointPath;

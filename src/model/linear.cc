@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "decomp/tucker.h"
@@ -16,15 +15,11 @@ namespace lrd {
 
 namespace {
 
-/** Fused-path switch; resolved once from LRD_FUSED, then test-settable. */
+/** Fused-path switch; on by default, test-settable. */
 std::atomic<bool> &
 fusedToggle()
 {
-    static std::atomic<bool> enabled = [] {
-        const char *env = std::getenv("LRD_FUSED");
-        return env == nullptr ||
-               (std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0);
-    }();
+    static std::atomic<bool> enabled{true};
     return enabled;
 }
 

@@ -127,7 +127,8 @@ class Linear
      * Process-wide switch for the fused factorized forward (chains
      * U2/core/U1 through register-blocked row panels against
      * pre-packed weights instead of materializing intermediates).
-     * Defaults to on unless LRD_FUSED is 0/off; taped (training)
+     * Defaults to on; the off position is the unfused reference that
+     * differential tests and benches compare against. Taped (training)
      * forwards and skinny batches (rows < microkernel tile height)
      * always take the unfused path regardless.
      */

@@ -61,8 +61,6 @@ cancelCauseName(CancelCause cause)
         return "signal";
     case CancelCause::Deadline:
         return "deadline";
-    case CancelCause::Watchdog:
-        return "watchdog";
     case CancelCause::Test:
         return "test";
     }

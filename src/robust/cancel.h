@@ -50,7 +50,6 @@ enum class CancelCause : int
     None = 0,
     Signal,   ///< SIGINT/SIGTERM arrived (robust/signal.h).
     Deadline, ///< An LRD_DEADLINE budget or wall limit expired.
-    Watchdog, ///< Reserved: the watchdog is report-only today.
     Test,     ///< Simulated kill from an injected cancel fault.
 };
 

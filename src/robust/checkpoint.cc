@@ -160,29 +160,17 @@ writeCheckpoint(const std::string &path, uint32_t version,
     LRD_TRACE_SPAN("ckpt.write");
     static Counter *writes =
         MetricsRegistry::instance().counter("checkpoint.writes");
-    static Counter *staleSwept =
-        MetricsRegistry::instance().counter("checkpoint.staleTmpSwept");
 
     if (faultAt("ckpt.write", FaultKind::Alloc))
         return Status(StatusCode::ResourceExhausted, "ckpt.write",
                       "injected allocation failure");
 
-    // Sweep the leftover of one of *our* earlier writes that was
-    // interrupted: a stale .tmp is never a valid resume source (it
-    // was never renamed), only disk waste and confusion. The name is
-    // pid-unique, so another live process's in-flight write in the
-    // same directory is never touched; dead writers' orphans are
-    // reclaimed separately by sweepOrphanCheckpointTmps().
+    // The tmp name is pid-unique, so another live process's in-flight
+    // write in the same directory is never touched. A leftover of one
+    // of our own interrupted writes is truncated by the open below and
+    // renamed away; dead writers' orphans are reclaimed separately by
+    // sweepOrphanCheckpointTmps().
     const std::string tmp = checkpointTmpPath(path);
-    {
-        std::error_code ec;
-        if (fs::exists(tmp, ec)) {
-            warn("checkpoint: sweeping stale temp file " + tmp
-                 + " left by an interrupted writer");
-            staleSwept->inc();
-            fs::remove(tmp, ec);
-        }
-    }
 
     std::vector<uint8_t> blob;
     blob.reserve(kHeaderSize + payload.size());
@@ -203,7 +191,7 @@ writeCheckpoint(const std::string &path, uint32_t version,
 
     // Injected kill mid-write: leave a half-written .tmp behind (never
     // renamed into place) exactly as a real killed writer would — the
-    // sweep above reclaims it on the next write.
+    // next write truncates and replaces it.
     if (faultAt("ckpt.write", FaultKind::Cancel)) {
         const int tmpFd =
             ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

@@ -179,7 +179,7 @@ registeredFaultSites()
          "Request admission into the serve queue (src/serve)"},
         {"serve.batch", "nan,cancel",
          "Top of a serve batch execution (src/serve)"},
-        {"serve.respond", "alloc,cancel",
+        {"serve.respond", "cancel",
          "Response delivery back to the client (src/serve)"},
     };
     return sites;

@@ -18,12 +18,6 @@
 namespace lrd {
 
 /**
- * Run fn(rng, attempt) up to maxAttempts times, stopping at the first
- * ok Status. Attempt 0 is the original try; each later attempt gets a
- * fresh Rng derived from baseSeed and the attempt index. Returns the
- * first ok Status, or the last failure when every attempt failed.
- */
-/**
  * Exponential backoff in abstract work units ("ticks"): attempt k
  * (0-based) waits baseTicks * 2^k, capped at maxTicks. Pure integer
  * arithmetic on the attempt number — never wall clock — so a retry
@@ -51,6 +45,12 @@ backoffTicks(int64_t baseTicks, int attempt, int64_t maxTicks = 1 << 20)
  */
 void sleepForBackoff(int64_t ticks);
 
+/**
+ * Run fn(rng, attempt) up to maxAttempts times, stopping at the first
+ * ok Status. Attempt 0 is the original try; each later attempt gets a
+ * fresh Rng derived from baseSeed and the attempt index. Returns the
+ * first ok Status, or the last failure when every attempt failed.
+ */
 template <class Fn>
 Status
 retryWithReseed(uint64_t baseSeed, int maxAttempts, const Fn &fn)

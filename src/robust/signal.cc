@@ -50,8 +50,6 @@ exitCodeForStatus(const Status &status)
         return kExitCorruptCheckpoint;
     case StatusCode::NonConvergence:
         return kExitNonConvergence;
-    case StatusCode::Unavailable:
-        return kExitUnavailable;
     default:
         return kExitError;
     }

@@ -32,7 +32,7 @@ inline constexpr int kExitCancelled = 3;         ///< Signal / cancel request.
 inline constexpr int kExitDeadline = 4;          ///< LRD_DEADLINE expired.
 inline constexpr int kExitCorruptCheckpoint = 5; ///< Checkpoint data loss.
 inline constexpr int kExitNonConvergence = 6;    ///< Kernel sweep cap hit.
-inline constexpr int kExitUnavailable = 7;       ///< Response delivery failed.
+// 7 is retired (it meant "response delivery failed"); do not reuse it.
 inline constexpr int kExitShardFailed = 8;       ///< Shard died past retries.
 
 /**

@@ -30,7 +30,6 @@ enum class ServeOutcome : int
     Shed,           ///< Rejected at admission after bounded retries.
     DeadlineMissed, ///< Expired before its batch executed.
     Cancelled,      ///< Drained by a shutdown before scoring.
-    Unavailable,    ///< Scored but delivery failed after retries.
 };
 
 /** Stable lowercase name for an outcome ("responded", ...). */

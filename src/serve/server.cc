@@ -7,7 +7,6 @@
 #include "model/decomp_config.h"
 #include "obs/metrics.h"
 #include "robust/cancel.h"
-#include "robust/fault.h"
 #include "robust/retry.h"
 #include "robust/signal.h"
 #include "util/logging.h"
@@ -117,8 +116,6 @@ Server::run(std::vector<ServeRequest> workload)
         MetricsRegistry::instance().counter("serve.deadline.missed");
     static Counter *cancelledCtr =
         MetricsRegistry::instance().counter("serve.cancelled");
-    static Counter *unavailableCtr =
-        MetricsRegistry::instance().counter("serve.unavailable");
     static Counter *retriesCtr =
         MetricsRegistry::instance().counter("serve.client.retries");
     static Gauge *depthGauge =
@@ -297,30 +294,11 @@ Server::run(std::vector<ServeRequest> workload)
             ++stats.batches;
             batchesCtr->inc();
 
-            // Delivery phase: serial, per-response, with bounded
-            // deterministic retry at the serve.respond fault site.
+            // Delivery phase: serial, per-response.
             pollCancelFault("serve.respond");
             for (size_t i = 0; i < batch.size(); ++i) {
-                ServeResponse &resp = *slots[i];
-                const Status delivered = retryWithReseed(
-                    opts_.retrySeed
-                        ^ static_cast<uint64_t>(batch[i].id),
-                    opts_.responderAttempts, [&](Rng &, int) {
-                        if (faultAt("serve.respond", FaultKind::Alloc))
-                            return Status(StatusCode::Unavailable,
-                                          "serve.respond",
-                                          "injected delivery failure");
-                        return Status();
-                    });
-                if (!delivered.ok()) {
-                    resp.outcome = ServeOutcome::Unavailable;
-                    resp.status = delivered;
-                    ++stats.unavailable;
-                    unavailableCtr->inc();
-                    continue;
-                }
                 ++stats.responded;
-                if (resp.degraded)
+                if (slots[i]->degraded)
                     ++stats.degradedResponses;
                 respondedCtr->inc();
                 const int64_t latency =
@@ -421,8 +399,6 @@ serveOutcomeName(ServeOutcome outcome)
         return "deadline-missed";
     case ServeOutcome::Cancelled:
         return "cancelled";
-    case ServeOutcome::Unavailable:
-        return "unavailable";
     }
     return "unknown";
 }

@@ -54,8 +54,6 @@ struct ServeOptions
     int maxClientAttempts = 3;
     /** Backoff base: attempt k re-offers after base * 2^k ticks. */
     int64_t retryBackoffBaseTicks = 2;
-    /** Delivery attempts per response at serve.respond. */
-    int responderAttempts = 3;
     /**
      * Pruned rank of the degradation-ladder fallback variant
      * (DecompConfig::allTensors over every layer). 0 disables the
@@ -65,8 +63,6 @@ struct ServeOptions
     int64_t fallbackRank = 0;
     /** Deadline assigned to workloads that do not carry one. */
     int64_t defaultDeadlineTicks = 64;
-    /** Seed for the deterministic delivery-retry stream. */
-    uint64_t retrySeed = 0x5EEDu;
     LoadControlOptions ladder;
 
     /** Defaults overridden by LRD_SERVE_* environment variables. */
@@ -83,7 +79,6 @@ struct ServeStats
     int64_t shed = 0;              ///< Terminal sheds (retries exhausted).
     int64_t deadlineMissed = 0;
     int64_t cancelled = 0;
-    int64_t unavailable = 0;
     int64_t clientRetries = 0; ///< Backoff re-offers scheduled.
     int64_t batches = 0;
     int64_t ticks = 0;

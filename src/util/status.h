@@ -37,7 +37,6 @@ enum class StatusCode : int
     NonFinite,         ///< NaN/Inf appeared in a numeric pipeline.
     Cancelled,         ///< Work stopped before completion.
     DeadlineExceeded,  ///< A work-unit or wall-clock deadline expired.
-    Unavailable,       ///< Transient delivery failure; retry later.
     Internal,          ///< Invariant violation / unexpected error.
 };
 
@@ -64,8 +63,6 @@ statusCodeName(StatusCode code)
         return "cancelled";
     case StatusCode::DeadlineExceeded:
         return "deadline-exceeded";
-    case StatusCode::Unavailable:
-        return "unavailable";
     case StatusCode::Internal:
         return "internal";
     }

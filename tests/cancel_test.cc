@@ -139,7 +139,6 @@ TEST(Cancel, CauseNamesAreStable)
     EXPECT_STREQ(cancelCauseName(CancelCause::None), "none");
     EXPECT_STREQ(cancelCauseName(CancelCause::Signal), "signal");
     EXPECT_STREQ(cancelCauseName(CancelCause::Deadline), "deadline");
-    EXPECT_STREQ(cancelCauseName(CancelCause::Watchdog), "watchdog");
     EXPECT_STREQ(cancelCauseName(CancelCause::Test), "test");
 }
 
@@ -286,8 +285,6 @@ TEST(Cancel, ExitCodesMapEveryDocumentedOutcome)
     EXPECT_EQ(exitCodeForStatus(Status(StatusCode::NonConvergence,
                                        "s", "m")),
               kExitNonConvergence);
-    EXPECT_EQ(exitCodeForStatus(Status(StatusCode::Unavailable, "s", "m")),
-              kExitUnavailable);
     EXPECT_EQ(exitCodeForStatus(Status(StatusCode::Internal, "s", "m")),
               kExitError);
     EXPECT_EQ(exitCodeForStatus(Status(StatusCode::InvalidArgument,

@@ -436,7 +436,7 @@ TEST(Checkpoint, SweepsAStaleTmpFileBeforeWriting)
 
     const std::vector<uint8_t> payload = {3, 1, 4, 1, 5};
     ASSERT_TRUE(writeCheckpoint(path, 1, payload).ok());
-    // Swept, then reused.
+    // Truncated, then renamed into place.
     EXPECT_FALSE(fs::exists(checkpointTmpPath(path)));
     const Result<std::vector<uint8_t>> r = readCheckpoint(path, 1);
     ASSERT_TRUE(r.ok());
@@ -644,7 +644,7 @@ TEST(FaultSites, EveryRegisteredSiteSupportsCancelKill)
             const Status s = writeCheckpoint(path, 1, {1, 2, 3});
             EXPECT_EQ(s.code(), StatusCode::Cancelled);
             // The kill leaves the half-written pid-unique .tmp, never
-            // the primary; the next write sweeps the leftover.
+            // the primary; the next write replaces the leftover.
             EXPECT_TRUE(fs::exists(checkpointTmpPath(path)));
             EXPECT_FALSE(fs::exists(path));
             clearFaults();

@@ -91,8 +91,7 @@ expectExactlyOnce(const ServeReport &r, size_t n)
         ++settled;
     }
     const ServeStats &s = r.stats;
-    EXPECT_EQ(s.responded + s.shed + s.deadlineMissed + s.cancelled +
-                  s.unavailable,
+    EXPECT_EQ(s.responded + s.shed + s.deadlineMissed + s.cancelled,
               settled);
 }
 
@@ -538,7 +537,6 @@ TEST(ServeChaos, EverySiteAndKindDrainsWithoutLosingRequests)
         {"serve.admit", FaultKind::Cancel},
         {"serve.batch", FaultKind::Nan},
         {"serve.batch", FaultKind::Cancel},
-        {"serve.respond", FaultKind::Alloc},
         {"serve.respond", FaultKind::Cancel},
     };
 
@@ -550,7 +548,6 @@ TEST(ServeChaos, EverySiteAndKindDrainsWithoutLosingRequests)
         opts.queueCapacity = 8;
         opts.maxBatch = 2;
         opts.maxClientAttempts = 2;
-        opts.responderAttempts = 1; // alloc fault -> Unavailable
         Server server(model, opts);
         setFault(FaultSpec{c.site, c.kind, 2});
         const ServeReport r = server.run(
@@ -564,12 +561,6 @@ TEST(ServeChaos, EverySiteAndKindDrainsWithoutLosingRequests)
             EXPECT_GT(r.stats.cancelled, 0);
         } else {
             ASSERT_TRUE(r.status.ok()) << r.status.toString();
-        }
-        if (c.site == "serve.respond" && c.kind == FaultKind::Alloc) {
-            EXPECT_EQ(r.stats.unavailable, 1);
-            EXPECT_EQ(exitCodeForStatus(Status(StatusCode::Unavailable,
-                                               "serve.respond", "")),
-                      kExitUnavailable);
         }
         if (c.site == "serve.batch" && c.kind == FaultKind::Nan) {
             // The poisoned item settles as Responded with a NonFinite
@@ -616,8 +607,6 @@ TEST(ServeChaos, OutcomeNamesAreStable)
     EXPECT_STREQ(serveOutcomeName(ServeOutcome::DeadlineMissed),
                  "deadline-missed");
     EXPECT_STREQ(serveOutcomeName(ServeOutcome::Cancelled), "cancelled");
-    EXPECT_STREQ(serveOutcomeName(ServeOutcome::Unavailable),
-                 "unavailable");
 }
 
 TEST(ServeChaos, RegistryListsEveryServeSite)

@@ -271,12 +271,11 @@ TEST(Bytes, TruncatedStreamIsFatal)
 
 TEST(Status, ServingCodesRoundTripThroughNameAndToString)
 {
-    // The serving layer leans on these two codes for its admission
-    // (shed) and delivery-failure contracts; their names are part of
-    // the CLI surface (lrdtool exit-code table, shed reports).
+    // The serving layer leans on this code for its admission (shed)
+    // contract; its name is part of the CLI surface (lrdtool exit-code
+    // table, shed reports).
     EXPECT_STREQ(statusCodeName(StatusCode::ResourceExhausted),
                  "resource-exhausted");
-    EXPECT_STREQ(statusCodeName(StatusCode::Unavailable), "unavailable");
 
     const Status shed(StatusCode::ResourceExhausted, "serve.admit",
                       "queue at capacity");
@@ -284,13 +283,6 @@ TEST(Status, ServingCodesRoundTripThroughNameAndToString)
     EXPECT_EQ(shed.code(), StatusCode::ResourceExhausted);
     EXPECT_EQ(shed.toString(),
               "resource-exhausted at serve.admit: queue at capacity");
-
-    const Status undeliverable(StatusCode::Unavailable, "serve.respond",
-                               "delivery failed");
-    EXPECT_FALSE(undeliverable.ok());
-    EXPECT_EQ(undeliverable.code(), StatusCode::Unavailable);
-    EXPECT_EQ(undeliverable.toString(),
-              "unavailable at serve.respond: delivery failed");
 }
 
 TEST(Timer, MeasuresNonNegativeElapsed)

@@ -39,9 +39,9 @@
  *
  * Exit codes (see README.md): 0 ok, 1 error, 2 degraded past the
  * failure budget, 3 cancelled (SIGINT/SIGTERM), 4 deadline exceeded,
- * 5 corrupt checkpoint, 6 non-convergence, 7 response delivery
- * unavailable, 8 shard failed past its retry budget. A second signal
- * force-exits with the POSIX 128+signo code.
+ * 5 corrupt checkpoint, 6 non-convergence, 8 shard failed past its
+ * retry budget (7 is retired). A second signal force-exits with the
+ * POSIX 128+signo code.
  */
 
 #include <algorithm>
@@ -755,7 +755,6 @@ runServeCommand(const Flags &flags, bool openLoop)
     outcomes.addRow({"shed", std::to_string(s.shed)});
     outcomes.addRow({"deadline-missed", std::to_string(s.deadlineMissed)});
     outcomes.addRow({"cancelled", std::to_string(s.cancelled)});
-    outcomes.addRow({"unavailable", std::to_string(s.unavailable)});
     outcomes.print();
 
     const auto total = static_cast<double>(report.responses.size());
@@ -781,11 +780,7 @@ runServeCommand(const Flags &flags, bool openLoop)
     std::printf("status     %s\n", report.status.ok()
                                        ? "completed"
                                        : report.status.toString().c_str());
-    if (!report.status.ok())
-        return exitCodeForStatus(report.status);
-    if (s.unavailable > 0)
-        return kExitUnavailable;
-    return 0;
+    return exitCodeForStatus(report.status);
 }
 
 /** One flight-recorder file, split by record type. */
@@ -940,9 +935,6 @@ printPhaseTable(const TelemetryFile &tf)
                  std::to_string(counterAt("serve.deadline.missed"))});
             serve.addRow({"cancelled",
                           std::to_string(counterAt("serve.cancelled"))});
-            serve.addRow(
-                {"unavailable",
-                 std::to_string(counterAt("serve.unavailable"))});
             serve.addRow({"client retries",
                           std::to_string(
                               counterAt("serve.client.retries"))});
@@ -1290,7 +1282,6 @@ usage()
         "exit codes:\n"
         "  0 ok  1 error  2 degraded past failure budget  3 cancelled\n"
         "  4 deadline exceeded  5 corrupt checkpoint  6 non-convergence\n"
-        "  7 response delivery unavailable\n"
         "  8 shard failed past its retry budget (dse --supervise)\n"
         "  (a second SIGINT/SIGTERM force-exits with 128+signo)\n");
 }
