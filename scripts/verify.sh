@@ -2,8 +2,8 @@
 # Tier-1 verification: clean Release build + full ctest, the lrd-lint
 # static-analysis gate, a ThreadSanitizer build that re-runs the
 # determinism + observability suites, a UBSan build of the same two
-# suites (signed overflow / misaligned loads in the packed GEMM
-# kernels would surface here), and an ASan build of the fault-
+# suites plus the GEMM reference suite (signed overflow / misaligned
+# loads in the packed and skinny GEMM kernels would surface here), and an ASan build of the fault-
 # tolerance suites (checkpoint I/O and injected alloc failures
 # exercise error paths where leaks and overreads hide). clang-tidy
 # (curated subset, WarningsAsErrors) blocks when the tool is
@@ -70,11 +70,13 @@ cmake --build build-tsan -j --target determinism_test obs_test serve_test
 ./build-tsan/tests/obs_test
 ./build-tsan/tests/serve_test
 
-echo "== UBSan: determinism + obs suites under -fsanitize=undefined =="
+echo "== UBSan: determinism + obs + GEMM reference suites under -fsanitize=undefined =="
 cmake -B build-ubsan -S . -DLRD_SANITIZE=undefined
-cmake --build build-ubsan -j --target determinism_test obs_test
+cmake --build build-ubsan -j --target determinism_test obs_test \
+    gemm_reference_test
 ./build-ubsan/tests/determinism_test
 ./build-ubsan/tests/obs_test
+./build-ubsan/tests/gemm_reference_test
 
 echo "== ASan: robust + resume + cancel + serve suites under -fsanitize=address =="
 cmake -B build-asan -S . -DLRD_SANITIZE=address

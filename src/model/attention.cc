@@ -44,6 +44,23 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
         1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));
     for (int64_t i = 0; i < wso_->weight().value.size(); ++i)
         wso_->weight().value[i] *= scale;
+    if (!useRope_)
+        return;
+    // Angle p * 10000^(-d / headDim) for pair d / 2 at position p,
+    // evaluated in double and rounded to float.
+    const int64_t half = headDim_ / 2;
+    ropeCos_.resize(static_cast<size_t>(cfg.maxSeq * half));
+    ropeSin_.resize(static_cast<size_t>(cfg.maxSeq * half));
+    for (int64_t p = 0; p < cfg.maxSeq; ++p)
+        for (int64_t d = 0; d < headDim_; d += 2) {
+            const double freq = std::pow(
+                10000.0,
+                -static_cast<double>(d) / static_cast<double>(headDim_));
+            const double angle = static_cast<double>(p) * freq;
+            const auto at = static_cast<size_t>(p * half + d / 2);
+            ropeCos_[at] = static_cast<float>(std::cos(angle));
+            ropeSin_[at] = static_cast<float>(std::sin(angle));
+        }
 }
 
 void
@@ -53,21 +70,25 @@ MultiHeadAttention::applyRope(Tensor &qk, int64_t startPos, bool inverse,
     if (!useRope_)
         return;
     const int64_t n = qk.dim(0);
+    const int64_t half = headDim_ / 2;
+    require(startPos >= 0 && (startPos + n) * half
+                                 <= static_cast<int64_t>(ropeCos_.size()),
+            strCat("MultiHeadAttention::applyRope: positions ", startPos,
+                   "..", startPos + n, " exceed maxSeq"));
     const int64_t width = heads * headDim_;
+    // The inverse rotation is the rotation by -angle: cos is even and
+    // sin odd, so negating the sine gives the same bits as evaluating
+    // at the negated angle.
+    const float sign = inverse ? -1.0F : 1.0F;
     for (int64_t i = 0; i < n; ++i) {
-        const auto p = static_cast<double>(startPos + i);
+        const float *cosRow = ropeCos_.data() + (startPos + i) * half;
+        const float *sinRow = ropeSin_.data() + (startPos + i) * half;
         float *row = qk.data() + i * width;
         for (int64_t h = 0; h < heads; ++h) {
             float *head = row + h * headDim_;
             for (int64_t d = 0; d < headDim_; d += 2) {
-                const double freq = std::pow(
-                    10000.0,
-                    -static_cast<double>(d) / static_cast<double>(headDim_));
-                double angle = p * freq;
-                if (inverse)
-                    angle = -angle;
-                const auto c = static_cast<float>(std::cos(angle));
-                const auto s = static_cast<float>(std::sin(angle));
+                const float c = cosRow[d / 2];
+                const float s = sign * sinRow[d / 2];
                 const float x = head[d];
                 const float y = head[d + 1];
                 head[d] = x * c - y * s;
@@ -259,7 +280,7 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     Tensor ctx({n, dModel_});
     const int64_t group = nHeads_ / kvHeads_;
-    parallelFor(0, nHeads_, 1, [&](int64_t h0, int64_t h1) {
+    const auto attendHeads = [&](int64_t h0, int64_t h1) {
     headsProcessedCounter()->add(h1 - h0);
     std::vector<float> scores(static_cast<size_t>(cache.len));
     for (int64_t h = h0; h < h1; ++h) {
@@ -296,7 +317,13 @@ MultiHeadAttention::forwardCached(const Tensor &x, KvCache &cache) const
             }
         }
     }
-    });
+    };
+    // QK^T and PV MACs; a one-token step is far below the fan-out
+    // threshold, so decode never pays for a pool dispatch here.
+    if (2 * nHeads_ * n * cache.len * headDim_ < kInlineMaxMacs)
+        attendHeads(0, nHeads_);
+    else
+        parallelFor(0, nHeads_, 1, attendHeads);
     return wso_->forward(ctx);
 }
 

@@ -70,14 +70,15 @@ class MultiHeadAttention
     std::vector<Parameter *> parameters();
     int64_t paramCount() const;
 
-  private:
     /**
      * Apply (or invert) RoPE to rows holding `heads` concatenated
-     * head slices, at absolute positions startPos...
+     * head slices, at absolute positions startPos... (< maxSeq). A
+     * no-op for architectures without RoPE.
      */
     void applyRope(Tensor &qk, int64_t startPos, bool inverse,
                    int64_t heads) const;
 
+  private:
     int64_t dModel_;
     int64_t nHeads_;
     int64_t kvHeads_;  ///< < nHeads_ under grouped-query attention.
@@ -85,6 +86,9 @@ class MultiHeadAttention
     int64_t headDim_;
     bool causal_;
     bool useRope_;
+    /** cos/sin of every RoPE angle, (maxSeq, headDim / 2) row-major;
+     *  empty without RoPE. */
+    std::vector<float> ropeCos_, ropeSin_;
 
     std::unique_ptr<Linear> wq_, wk_, wv_, wso_;
 };

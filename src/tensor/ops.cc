@@ -184,6 +184,78 @@ laneDot(const float *x, const float *y, int64_t k)
     return ((lane[0] + lane[2]) + (lane[1] + lane[3]));
 }
 
+/**
+ * crow[j] (+)= laneDot(arow, b + j * k, k) for j in [jlo, jhi), k < 16.
+ *
+ * For k < 16 laneDot runs only its tail: lane l < k holds the one
+ * product arow[l] * b[j * k + l], lanes k..15 stay +0, and the fixed
+ * tree sums all 16. Adding a +0 lane changes at most the sign of a
+ * zero (-0 + +0 = +0), so the same tree over the active lanes only
+ * agrees with laneDot up to zero signs at every node. laneDot's sum
+ * is never -0 here (lane 15 is +0), so one final "+ 0.0F" makes the
+ * two bitwise equal. Each tree level runs as one pass across kCols
+ * outputs, which vectorizes over j; the last partial block calls
+ * laneDot itself.
+ */
+void
+smallKDots(const float *arow, const float *b, int64_t k, float *crow,
+           int64_t jlo, int64_t jhi, bool accumulate)
+{
+    constexpr int64_t kCols = 16;
+    const int64_t k8 = std::min<int64_t>(k, 8);
+    const int64_t k4 = std::min<int64_t>(k, 4);
+    int64_t j0 = jlo;
+    for (; j0 + kCols <= jhi; j0 += kCols) {
+        float lane[16][kCols];
+        const float *bblk = b + j0 * k;
+        for (int64_t l = 0; l < k; ++l) {
+            const float al = arow[l];
+            for (int64_t jj = 0; jj < kCols; ++jj) {
+                float p = 0.0F;
+                p += al * bblk[jj * k + l];
+                lane[l][jj] = p;
+            }
+        }
+        // laneDot's tree: l += l + 8, l += l + 4, (0 + 2) + (1 + 3).
+        for (int64_t l = 0; l + 8 < k; ++l)
+            for (int64_t jj = 0; jj < kCols; ++jj)
+                lane[l][jj] += lane[l + 8][jj];
+        for (int64_t l = 0; l + 4 < k8; ++l)
+            for (int64_t jj = 0; jj < kCols; ++jj)
+                lane[l][jj] += lane[l + 4][jj];
+        for (int64_t l = 0; l + 2 < k4; ++l)
+            for (int64_t jj = 0; jj < kCols; ++jj)
+                lane[l][jj] += lane[l + 2][jj];
+        if (k4 > 1)
+            for (int64_t jj = 0; jj < kCols; ++jj)
+                lane[0][jj] += lane[1][jj];
+        float *cblk = crow + j0;
+        for (int64_t jj = 0; jj < kCols; ++jj) {
+            const float acc = lane[0][jj] + 0.0F;
+            cblk[jj] = accumulate ? cblk[jj] + acc : acc;
+        }
+    }
+    for (int64_t j = j0; j < jhi; ++j) {
+        const float acc = laneDot(arow, b + j * k, k);
+        crow[j] = accumulate ? crow[j] + acc : acc;
+    }
+}
+
+/**
+ * body(0, n) inline for products below kInlineMaxMacs, else
+ * parallelFor chunks. Every output is owned by one iteration of
+ * `body`, so both give identical bits.
+ */
+template <typename Body>
+void
+skinnyFor(int64_t macs, int64_t n, int64_t grain, const Body &body)
+{
+    if (macs < kInlineMaxMacs)
+        body(0, n);
+    else
+        parallelFor(0, n, grain, body);
+}
+
 } // namespace
 
 Tensor
@@ -253,7 +325,7 @@ gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
     }
     // Skinny fallback: i-k-j loop order (unit-stride b and c rows),
     // column chunks so even single-row products parallelize.
-    parallelFor(0, n, 512, [&](int64_t jlo, int64_t jhi) {
+    skinnyFor(m * k * n, n, 512, [&](int64_t jlo, int64_t jhi) {
         for (int64_t i = 0; i < m; ++i) {
             float *crow = c + i * n;
             if (!accumulate) {
@@ -283,10 +355,14 @@ gemmTransB(const float *a, const float *b, float *c, int64_t m, int64_t k,
     }
     // Skinny fallback: lane-accumulator dot products over the
     // contiguous rows of a and b, parallel over output columns.
-    parallelFor(0, n, 128, [&](int64_t jlo, int64_t jhi) {
+    skinnyFor(m * k * n, n, 128, [&](int64_t jlo, int64_t jhi) {
         for (int64_t i = 0; i < m; ++i) {
             const float *arow = a + i * k;
             float *crow = c + i * n;
+            if (k < 16) {
+                smallKDots(arow, b, k, crow, jlo, jhi, accumulate);
+                continue;
+            }
             for (int64_t j = jlo; j < jhi; ++j) {
                 const float acc = laneDot(arow, b + j * k, k);
                 crow[j] = accumulate ? crow[j] + acc : acc;
@@ -309,7 +385,7 @@ gemmTransA(const float *a, const float *b, float *c, int64_t m, int64_t k,
     }
     // Skinny fallback: parallel over the rows of c, so every output
     // element is owned by exactly one chunk.
-    parallelFor(0, k, 64, [&](int64_t plo, int64_t phi) {
+    skinnyFor(m * k * n, k, 64, [&](int64_t plo, int64_t phi) {
         if (!accumulate) {
             for (int64_t p = plo; p < phi; ++p)
                 for (int64_t j = 0; j < n; ++j)

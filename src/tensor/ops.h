@@ -46,8 +46,16 @@ Tensor matvec(const Tensor &a, const Tensor &x);
  *  Cache-blocked, packed, and parallelized over fixed row chunks of
  *  the global thread pool; results are bitwise identical at any
  *  LRD_THREADS setting. IEEE special values propagate (no zero-skip).
+ *  Skinny shapes take an unblocked fallback, which runs inline on the
+ *  calling thread below kInlineMaxMacs (m * k * n) and fans out
+ *  over output columns (rows of C for gemmTransA) above it.
  *  @{
  */
+/** MACs below which a kernel runs inline instead of fanning out over
+ *  the thread pool: the measured crossover of an m = 1 gemmTransB at
+ *  4 threads on a 4-vCPU AVX-512 VM, where a pool dispatch starts to
+ *  pay for itself. */
+constexpr int64_t kInlineMaxMacs = int64_t{1} << 18;
 void gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
           int64_t n, bool accumulate = false);
 /** C (m x n) = A (m x k) * B^T, B stored (n x k). */

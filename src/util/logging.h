@@ -74,13 +74,18 @@ void debug(const std::string &msg);
  */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Require a condition; calls fatal() with the message when violated. */
-inline void
-require(bool cond, const std::string &msg)
-{
-    if (!cond)
-        fatal(msg);
-}
+/**
+ * Require a condition; calls fatal() with the message when violated.
+ *
+ * A macro so the message is built only on failure: checks on the
+ * decode path (every Tensor::dim() is one) stay free of string
+ * formatting, and a message may read state the condition just filled
+ * (`require(x.valid(&why), "bad: " + why)`). The condition is
+ * evaluated exactly once; the message expression at most once and
+ * possibly never, so it must have no side effects.
+ */
+#define require(cond, msg)                                              \
+    (static_cast<bool>(cond) ? static_cast<void>(0) : ::lrd::fatal(msg))
 
 /** Variadic stream-style message builder: strCat(1, " + ", 2.5). */
 template <typename... Args>

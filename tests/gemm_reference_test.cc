@@ -2,17 +2,24 @@
  * @file
  * Fuzz tests of the optimized GEMM kernels against a naive reference
  * triple loop, covering all transpose variants, accumulate modes and
- * degenerate shapes.
+ * degenerate shapes; bitwise differential tests of the skinny
+ * fallbacks and the RoPE table against the code they replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
+#include <vector>
 
+#include "model/attention.h"
 #include "model/linear.h"
+#include "parallel/thread_pool.h"
 #include "tensor/ops.h"
+#include "tensor/simd/pack.h"
 #include "tensor/simd/simd.h"
 #include "util/rng.h"
 
@@ -383,6 +390,266 @@ TEST(GemmEdge, NanPropagatesThroughZeroEntries)
     Tensor ct({1, 1});
     gemmTransA(at.data(), bt.data(), ct.data(), 1, 1, 1, false);
     EXPECT_TRUE(std::isnan(ct[0]));
+}
+
+/*
+ * Scalar references for the skinny fallbacks: laneDot and the plain
+ * loops, with no inline dispatch and no small-k gemmTransB path. The
+ * optimized code must reproduce them bit for bit.
+ */
+
+/** ops.cc's laneDot: 16 striped lanes, then a fixed reduction tree. */
+float
+refLaneDot(const float *x, const float *y, int64_t k)
+{
+    float lane[16] = {};
+    int64_t p = 0;
+    for (; p + 16 <= k; p += 16)
+        for (int64_t l = 0; l < 16; ++l)
+            lane[l] += x[p + l] * y[p + l];
+    for (int64_t l = 0; p + l < k; ++l)
+        lane[l] += x[p + l] * y[p + l];
+    for (int64_t l = 0; l < 8; ++l)
+        lane[l] += lane[l + 8];
+    for (int64_t l = 0; l < 4; ++l)
+        lane[l] += lane[l + 4];
+    return ((lane[0] + lane[2]) + (lane[1] + lane[3]));
+}
+
+void
+refSkinnyGemm(const float *a, const float *b, float *c, int64_t m,
+              int64_t k, int64_t n, bool accumulate)
+{
+    for (int64_t i = 0; i < m; ++i) {
+        float *crow = c + i * n;
+        if (!accumulate)
+            for (int64_t j = 0; j < n; ++j)
+                crow[j] = 0.0F;
+        for (int64_t p = 0; p < k; ++p) {
+            const float av = a[i * k + p];
+            for (int64_t j = 0; j < n; ++j)
+                crow[j] += av * b[p * n + j];
+        }
+    }
+}
+
+void
+refSkinnyTransB(const float *a, const float *b, float *c, int64_t m,
+                int64_t k, int64_t n, bool accumulate)
+{
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j) {
+            const float acc = refLaneDot(a + i * k, b + j * k, k);
+            c[i * n + j] = accumulate ? c[i * n + j] + acc : acc;
+        }
+}
+
+void
+refSkinnyTransA(const float *a, const float *b, float *c, int64_t m,
+                int64_t k, int64_t n, bool accumulate)
+{
+    if (!accumulate)
+        for (int64_t i = 0; i < k * n; ++i)
+            c[i] = 0.0F;
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t p = 0; p < k; ++p) {
+            const float av = a[i * k + p];
+            for (int64_t j = 0; j < n; ++j)
+                c[p * n + j] += av * b[i * n + j];
+        }
+}
+
+/** Equal bit patterns, or both NaN (payloads are not compared). */
+bool
+sameBits(float x, float y)
+{
+    return (std::isnan(x) && std::isnan(y))
+           || std::bit_cast<uint32_t>(x) == std::bit_cast<uint32_t>(y);
+}
+
+/**
+ * A shared draw of mostly normal values; about 1 in `specialEvery` is
+ * one of ±0, NaN, ±Inf and ±1e-30 (whose pairwise products underflow
+ * to ±0). Operands are random windows of it, which keeps the large
+ * above-threshold shapes cheap to fill.
+ */
+class MixedValues
+{
+  public:
+    MixedValues(uint64_t seed, uint64_t specialEvery) : rng_(seed)
+    {
+        static const float kSpecials[] = {
+            0.0F, -0.0F, std::numeric_limits<float>::quiet_NaN(),
+            std::numeric_limits<float>::infinity(),
+            -std::numeric_limits<float>::infinity(), 1e-30F, -1e-30F};
+        for (float &x : pool_)
+            x = rng_.uniformInt(specialEvery) == 0
+                    ? kSpecials[rng_.uniformInt(std::size(kSpecials))]
+                    : static_cast<float>(rng_.normal());
+    }
+
+    std::vector<float> take(int64_t n)
+    {
+        const auto len = static_cast<size_t>(n);
+        const size_t at = rng_.uniformInt(pool_.size() - len + 1);
+        return {pool_.begin() + static_cast<ptrdiff_t>(at),
+                pool_.begin() + static_cast<ptrdiff_t>(at + len)};
+    }
+
+  private:
+    Rng rng_;
+    std::vector<float> pool_ = std::vector<float>(size_t{1} << 19);
+};
+/** Pins the pool to `threads` workers for one scope. */
+class PoolSize
+{
+  public:
+    explicit PoolSize(int threads)
+        : saved_(ThreadPool::instance().numThreads())
+    {
+        ThreadPool::instance().resize(threads);
+    }
+    ~PoolSize() { ThreadPool::instance().resize(saved_); }
+
+  private:
+    int saved_;
+};
+
+/** Every skinny variant of one (m, k, n) shape against its copy. */
+void
+expectSkinnyBitwise(int64_t m, int64_t k, int64_t n, bool accumulate,
+                    MixedValues &values)
+{
+    using Gemm = void (*)(const float *, const float *, float *, int64_t,
+                          int64_t, int64_t, bool);
+    struct Variant
+    {
+        const char *name;
+        Gemm got, want;
+        int64_t aSize, bSize, cSize;
+    };
+    const Variant variants[] = {
+        {"gemm", gemm, refSkinnyGemm, m * k, k * n, m * n},
+        {"gemmTransB", gemmTransB, refSkinnyTransB, m * k, n * k, m * n},
+        {"gemmTransA", gemmTransA, refSkinnyTransA, m * k, m * n, k * n},
+    };
+    for (const Variant &v : variants) {
+        const std::vector<float> a = values.take(v.aSize);
+        const std::vector<float> b = values.take(v.bSize);
+        std::vector<float> want = values.take(v.cSize);
+        std::vector<float> got = want;
+        v.want(a.data(), b.data(), want.data(), m, k, n, accumulate);
+        v.got(a.data(), b.data(), got.data(), m, k, n, accumulate);
+        int64_t mismatches = 0;
+        for (size_t i = 0; i < got.size(); ++i)
+            mismatches += sameBits(got[i], want[i]) ? 0 : 1;
+        EXPECT_EQ(mismatches, 0)
+            << v.name << " " << m << "x" << k << "x" << n
+            << " acc=" << accumulate << " threads="
+            << ThreadPool::instance().numThreads();
+    }
+}
+
+TEST(SkinnyGemm, BitwiseEqualToScalarLoopsAcrossInlineThreshold)
+{
+    // m < kMr keeps every variant on the skinny fallback (the blocked
+    // path needs 2 * kMr rows, and gemmTransA's blocked inner dim is
+    // m). k spans the small-k gemmTransB path (k < 16) and laneDot's
+    // 16-lane body; n lands below and above the inline threshold.
+    for (const int threads : {1, 4}) {
+        PoolSize pool(threads);
+        MixedValues values(static_cast<uint64_t>(31 + threads), 64);
+        for (int64_t k = 1; k <= 40; ++k)
+            for (int64_t m = 1; m < simd::kMr; ++m) {
+                const int64_t above = kInlineMaxMacs / (m * k) + 1;
+                for (const int64_t n : {int64_t{1}, int64_t{17},
+                                        int64_t{48}, above}) {
+                    ASSERT_EQ(m * k * n >= kInlineMaxMacs,
+                              n == above);
+                    expectSkinnyBitwise(m, k, n, (m + k + n) % 2 == 1,
+                                        values);
+                }
+            }
+    }
+}
+
+TEST(SkinnyGemm, SpecialValuesAndUnderflowMatchScalarLoops)
+{
+    // Dense specials at small k, where each output sees only a few
+    // products: signed zeros, products underflowing to ±0, NaN and
+    // Inf must come out of the small-k path exactly as from laneDot.
+    for (const int threads : {1, 4}) {
+        PoolSize pool(threads);
+        MixedValues values(static_cast<uint64_t>(77 + threads), 2);
+        for (int64_t k = 1; k < 16; ++k)
+            for (int64_t m = 1; m < simd::kMr; ++m)
+                for (const bool accumulate : {false, true})
+                    expectSkinnyBitwise(m, k, 37, accumulate, values);
+    }
+}
+
+/** Reference rotation: pow/cos/sin evaluated per element, the
+ *  expression the RoPE table is built from. */
+void
+refApplyRope(Tensor &qk, int64_t startPos, bool inverse, int64_t heads,
+             int64_t headDim)
+{
+    const int64_t n = qk.dim(0);
+    const int64_t width = heads * headDim;
+    for (int64_t i = 0; i < n; ++i) {
+        const auto p = static_cast<double>(startPos + i);
+        float *row = qk.data() + i * width;
+        for (int64_t h = 0; h < heads; ++h) {
+            float *head = row + h * headDim;
+            for (int64_t d = 0; d < headDim; d += 2) {
+                const double freq = std::pow(
+                    10000.0,
+                    -static_cast<double>(d) / static_cast<double>(headDim));
+                double angle = p * freq;
+                if (inverse)
+                    angle = -angle;
+                const auto c = static_cast<float>(std::cos(angle));
+                const auto s = static_cast<float>(std::sin(angle));
+                const float x = head[d];
+                const float y = head[d + 1];
+                head[d] = x * c - y * s;
+                head[d + 1] = x * s + y * c;
+            }
+        }
+    }
+}
+
+TEST(RopeTable, BitwiseEqualToPerCallExpressionAtEveryPosition)
+{
+    for (const int64_t headDim : {8, 16, 32, 64, 128}) {
+        ModelConfig cfg = testLlamaConfig();
+        cfg.nHeads = 2;
+        cfg.dModel = cfg.nHeads * headDim;
+        cfg.maxSeq = 512;
+        Rng rng(static_cast<uint64_t>(headDim));
+        const MultiHeadAttention attn(cfg, 0, rng);
+        for (const bool inverse : {false, true}) {
+            // Every position in one call, then the tail again from an
+            // offset start.
+            for (const int64_t start : {int64_t{0}, cfg.maxSeq - 37}) {
+                const Tensor x =
+                    Tensor::randn({cfg.maxSeq - start, cfg.dModel}, rng);
+                Tensor got = x;
+                Tensor want = x;
+                attn.applyRope(got, start, inverse, cfg.nHeads);
+                refApplyRope(want, start, inverse, cfg.nHeads, headDim);
+                int64_t mismatches = 0;
+                for (int64_t i = 0; i < got.size(); ++i)
+                    mismatches += sameBits(got[i], want[i]) ? 0 : 1;
+                EXPECT_EQ(mismatches, 0)
+                    << "headDim " << headDim << " start " << start
+                    << (inverse ? " inverse" : " forward");
+            }
+        }
+        Tensor past({2, cfg.dModel});
+        EXPECT_THROW(attn.applyRope(past, cfg.maxSeq - 1, false, cfg.nHeads),
+                     std::runtime_error);
+    }
 }
 
 } // namespace

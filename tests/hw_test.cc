@@ -13,6 +13,7 @@
 #include "hw/device.h"
 #include "hw/opcount.h"
 #include "hw/roofline.h"
+#include "model/transformer.h"
 
 namespace lrd {
 namespace {
@@ -139,6 +140,43 @@ TEST(OpCount, ProfileNamesEveryLayerTensor)
     for (const OpProfile &op : ops)
         sum += op.macs;
     EXPECT_EQ(sum, transformerMacs(cfg, DecompConfig::identity(), wl));
+}
+
+/** Message of the runtime_error `fn` throws, or "" if it returns. */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(OpCount, InvalidGammaErrorsNameTheReason)
+{
+    // The reason is filled in by the validity check itself, so the
+    // message must be built after it runs, not before.
+    const ModelConfig cfg = tinyLlamaConfig();
+    const DecompConfig bad = DecompConfig::allTensors(cfg, {99});
+    const std::string reason = "layer 99 out of range [0, 8)";
+
+    const std::string profile = fatalMessage(
+        [&] { (void)profileTransformer(cfg, bad, WorkloadParams{}); });
+    EXPECT_NE(profile.find("profileTransformer: invalid gamma"),
+              std::string::npos)
+        << profile;
+    EXPECT_NE(profile.find(reason), std::string::npos) << profile;
+
+    TransformerModel model(cfg, 3);
+    const std::string apply =
+        fatalMessage([&] { (void)bad.applyTo(model); });
+    EXPECT_NE(apply.find("DecompConfig::applyTo: invalid configuration"),
+              std::string::npos)
+        << apply;
+    EXPECT_NE(apply.find(reason), std::string::npos) << apply;
 }
 
 TEST(OpCount, DecodeMacsScaleWithContext)

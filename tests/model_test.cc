@@ -257,17 +257,29 @@ TEST(Model, KvCacheMatchesFullForward)
 
 TEST(Model, KvCacheWorksWithFactorizedLayers)
 {
-    ModelConfig cfg = testLlamaConfig();
-    TransformerModel m(cfg);
-    for (WeightKind k : decomposableKinds(cfg.arch))
-        ASSERT_TRUE(m.applyTucker(0, k, 2).ok());
-    Rng rng(11);
-    TokenSeq toks = randomTokens(cfg, 6, rng);
-    Tensor full = m.forward(toks);
-    InferenceSession session(m);
-    Tensor logits = session.append(toks);
-    for (int64_t j = 0; j < cfg.vocabSize; ++j)
-        EXPECT_NEAR(logits[j], full(5, j), 2e-3);
+    // Rank 1 on all seven tensors puts every factor product of a
+    // one-token step on the small-k gemmTransB path.
+    for (const int64_t rank : {2, 1}) {
+        ModelConfig cfg = testLlamaConfig();
+        TransformerModel m(cfg);
+        for (WeightKind k : decomposableKinds(cfg.arch))
+            ASSERT_TRUE(m.applyTucker(0, k, rank).ok());
+        Rng rng(11);
+        TokenSeq toks = randomTokens(cfg, 6, rng);
+        Tensor full = m.forward(toks);
+        InferenceSession session(m);
+        Tensor logits = session.append(toks);
+        for (int64_t j = 0; j < cfg.vocabSize; ++j)
+            EXPECT_NEAR(logits[j], full(5, j), 2e-3) << "rank " << rank;
+
+        InferenceSession stepwise(m);
+        for (size_t t = 0; t < toks.size(); ++t) {
+            const Tensor step = stepwise.append({toks[t]});
+            for (int64_t j = 0; j < cfg.vocabSize; ++j)
+                EXPECT_NEAR(step[j], full(static_cast<int64_t>(t), j), 2e-3)
+                    << "rank " << rank << " position " << t;
+        }
+    }
 }
 
 TEST(Model, ScoreContinuationMatchesFullForward)

@@ -171,6 +171,29 @@ TEST(Logging, RequirePassesAndFails)
 {
     EXPECT_NO_THROW(require(true, "ok"));
     EXPECT_THROW(require(false, "bad"), std::runtime_error);
+
+    // The message is built only when the condition fails.
+    int built = 0;
+    const auto message = [&built] {
+        ++built;
+        return strCat("bad value ", 42);
+    };
+    require(true, message());
+    EXPECT_EQ(built, 0);
+
+    // The condition is evaluated exactly once either way.
+    int checks = 0;
+    require(++checks > 0, message());
+    EXPECT_EQ(checks, 1);
+
+    try {
+        require(++checks < 0, message());
+        ADD_FAILURE() << "require(false, ...) returned";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "fatal: bad value 42");
+    }
+    EXPECT_EQ(checks, 2);
+    EXPECT_EQ(built, 1);
 }
 
 TEST(Logging, StrCatConcatenatesMixedTypes)
