@@ -203,8 +203,8 @@ BENCHMARK(BM_GemmSimdLevel)->Apply(simdLevelArgs);
 // baseline; BM_CrossoverFactorized/{h, r} sweeps ranks around the
 // predicted crossover. Comparing real_time at equal h locates the
 // measured crossover rank (items/s is per-variant G MACs/s, so it is
-// NOT the comparison metric). Batch m = 256 rows keeps the fused
-// serving path engaged.
+// NOT the comparison metric). Batch m = 256 rows is a prefill-sized
+// batch.
 // ---------------------------------------------------------------------
 
 constexpr int64_t kCrossoverRows = 256;
@@ -260,35 +260,6 @@ crossoverArgs(benchmark::internal::Benchmark *b)
     }
 }
 BENCHMARK(BM_CrossoverFactorized)->Apply(crossoverArgs);
-
-/** The factorized crossover forward with the fused path disabled:
- *  the delta against BM_CrossoverFactorized is the win from fusing
- *  the three-GEMM chain against pre-packed weights. */
-void
-BM_CrossoverFactorizedUnfused(benchmark::State &state)
-{
-    const auto h = static_cast<int64_t>(state.range(0));
-    const auto r = static_cast<int64_t>(state.range(1));
-    Rng rng(16);
-    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
-    randomizeFactors(l, r, rng);
-    Tensor x = Tensor::randn({kCrossoverRows, h}, rng);
-    Linear::setFusedForwardEnabled(false);
-    for (auto _ : state) {
-        Tensor y = l.forward(x);
-        benchmark::DoNotOptimize(y.data());
-    }
-    Linear::setFusedForwardEnabled(true);
-    state.SetItemsProcessed(state.iterations() * kCrossoverRows *
-                            (2 * h * r + r * r));
-}
-void
-crossoverUnfusedArgs(benchmark::internal::Benchmark *b)
-{
-    b->Args({256, 106});
-    b->Args({512, 212});
-}
-BENCHMARK(BM_CrossoverFactorizedUnfused)->Apply(crossoverUnfusedArgs);
 
 void
 BM_Svd(benchmark::State &state)

@@ -23,8 +23,10 @@ namespace lrd {
 struct OpProfile
 {
     std::string name;
-    int64_t macs = 0;        ///< Multiply-accumulates.
-    int64_t weightBytes = 0; ///< Parameter bytes touched.
+    int64_t macs = 0; ///< Multiply-accumulates.
+    /** Bytes read from memory: the weights of a linear or the lm_head,
+     *  the gathered activation rows of the embedding lookup. */
+    int64_t bytesMoved = 0;
 };
 
 /** Inference workload shape. */

@@ -1,43 +1,16 @@
 #include "linear.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstring>
 
 #include "decomp/tucker.h"
 #include "obs/metrics.h"
 #include "robust/recovery.h"
 #include "tensor/ops.h"
-#include "tensor/simd/fused.h"
 #include "util/logging.h"
 
 namespace lrd {
 
 namespace {
-
-/** Fused-path switch; on by default, test-settable. */
-std::atomic<bool> &
-fusedToggle()
-{
-    static std::atomic<bool> enabled{true};
-    return enabled;
-}
-
-struct FusedCounters {
-    Counter *fusedForwards;
-    Counter *weightPacks;
-};
-
-FusedCounters &
-fusedCounters()
-{
-    static FusedCounters c = [] {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        return FusedCounters{reg.counter("model.linear.fusedForwards"),
-                             reg.counter("model.linear.weightPacks")};
-    }();
-    return c;
-}
 
 /**
  * Resolve a failed decomposition per the recovery policy: fatal under
@@ -94,22 +67,6 @@ Linear::forward(const Tensor &x, Tape *tape) const
                       : n * prunedRank_ * inDim_
                             + n * prunedRank_ * prunedRank_
                             + n * outDim_ * prunedRank_);
-    }
-    // Inference-only fused path: chain the three factor GEMMs through
-    // register-blocked row panels against pre-packed weights, never
-    // materializing the (n, pr) intermediates. Skinny batches (m <
-    // one microkernel tile of rows) stay on the unfused path, whose
-    // lane-dot fallback wastes no work on padded tiles.
-    if (factorized_ && tape == nullptr && fusedForwardEnabled() &&
-        x.dim(0) >= simd::kMr) {
-        const std::shared_ptr<const PackedFactors> packed = packedFactors();
-        Tensor y({x.dim(0), outDim_});
-        simd::fusedFactorizedForward(
-            x.data(), x.dim(0), inDim_, prunedRank_, outDim_, packed->u2t,
-            packed->coret, packed->u1t,
-            hasBias_ ? b_.value.data() : nullptr, y.data());
-        fusedCounters().fusedForwards->inc();
-        return y;
     }
     Tensor y;
     if (!factorized_) {
@@ -187,7 +144,6 @@ Linear::factorize(int64_t prunedRank)
     u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    packed_.reset();
     return Status();
 }
 
@@ -227,7 +183,6 @@ Linear::factorizeActivationAware(int64_t prunedRank,
     u2_ = Parameter(base + ".u2", std::move(d.u2));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    packed_.reset();
     return Status();
 }
 
@@ -245,7 +200,6 @@ Linear::installFactorShape(int64_t prunedRank)
     u2_ = Parameter(base + ".u2", Tensor({prunedRank, inDim_}));
     w_ = Parameter(base, Tensor({0}));
     factorized_ = true;
-    packed_.reset();
 }
 
 void
@@ -263,7 +217,6 @@ Linear::densify()
     u2_ = Parameter();
     factorized_ = false;
     prunedRank_ = 0;
-    packed_.reset();
 }
 
 int64_t
@@ -313,82 +266,6 @@ Linear::effectiveWeight() const
     if (!factorized_)
         return w_.value;
     return matmul(matmul(u1_.value, core_.value), u2_.value);
-}
-
-uint64_t
-Linear::factorFingerprint() const
-{
-    // FNV-1a over the float bit patterns of all three factors,
-    // interleaved across 8 independent lanes so the hash is not one
-    // serially-dependent multiply chain (that costs ~4 cycles per
-    // element and showed up as ~25% of a fused h=512 forward). Every
-    // element still feeds exactly one lane and the lanes are folded
-    // with the same mix at the end, so a single flipped bit anywhere
-    // still changes the result. One streaming pass over 2*h*r + r^2
-    // words — cheaper than repacking and, with the lane ILP,
-    // negligible next to the m * (2*h*r + r^2) MACs it guards.
-    constexpr uint64_t kPrime = 1099511628211ULL;
-    uint64_t lanes[8];
-    for (uint64_t i = 0; i < 8; ++i)
-        lanes[i] = 1469598103934665603ULL ^ ((i + 1) * kPrime);
-    size_t next = 0;
-    const auto mix = [&lanes, &next](const Tensor &t) {
-        const float *d = t.data();
-        const int64_t n = t.size();
-        for (int64_t i = 0; i < n; ++i) {
-            uint32_t bits;
-            std::memcpy(&bits, &d[i], sizeof(bits));
-            uint64_t &lane = lanes[next++ & 7];
-            lane = (lane ^ bits) * kPrime;
-        }
-    };
-    mix(u2_.value);
-    mix(core_.value);
-    mix(u1_.value);
-    uint64_t h = 1469598103934665603ULL;
-    for (uint64_t lane : lanes)
-        h = (h ^ lane) * kPrime;
-    return h;
-}
-
-std::shared_ptr<const Linear::PackedFactors>
-Linear::packedFactors() const
-{
-    // Fingerprint outside the lock: it reads the factors, which no
-    // forward writes, and is the bulk of the staleness check. A
-    // mismatch catches external factor writes (via parameters(), e.g.
-    // an optimizer step) so fused results are never computed against
-    // stale panels.
-    const uint64_t fingerprint = factorFingerprint();
-    std::lock_guard<std::mutex> lock(packMu_);
-    if (packed_ && packed_->fingerprint == fingerprint)
-        return packed_;
-    // packMatrixB(M, k, n, trans=true) packs M^T without
-    // materializing it; the fused chain is y = ((x U2^T) core^T) U1^T.
-    // lrd-lint: allow(hot-path-alloc) pack-once panels: rebuilt only when the factor values change
-    auto fresh = std::make_shared<PackedFactors>();
-    fresh->u2t = simd::packMatrixB(u2_.value.data(), inDim_, prunedRank_,
-                                   /*trans=*/true);
-    fresh->coret = simd::packMatrixB(core_.value.data(), prunedRank_,
-                                     prunedRank_, /*trans=*/true);
-    fresh->u1t = simd::packMatrixB(u1_.value.data(), prunedRank_, outDim_,
-                                   /*trans=*/true);
-    fresh->fingerprint = fingerprint;
-    packed_ = std::move(fresh);
-    fusedCounters().weightPacks->inc();
-    return packed_;
-}
-
-bool
-Linear::fusedForwardEnabled()
-{
-    return fusedToggle().load(std::memory_order_relaxed);
-}
-
-void
-Linear::setFusedForwardEnabled(bool enabled)
-{
-    fusedToggle().store(enabled, std::memory_order_relaxed);
 }
 
 } // namespace lrd

@@ -17,13 +17,10 @@
 #define LRD_MODEL_LINEAR_H
 
 #include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "model/parameter.h"
-#include "tensor/simd/pack.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -59,10 +56,11 @@ class Linear
     };
 
     /**
-     * Forward pass for x of shape (n, in). With tape == nullptr this
-     * is inference: nothing is recorded and the fused factorized path
-     * may run. Otherwise the activations backward() needs are
-     * recorded into *tape (always through the unfused chain).
+     * Forward pass for x of shape (n, in). Factorized, it runs the
+     * chain ((x U2^T) core^T) U1^T (+ b) whether or not it is taped,
+     * so inference and training see the same bits. With tape ==
+     * nullptr nothing is recorded; otherwise the activations
+     * backward() needs are recorded into *tape.
      */
     Tensor forward(const Tensor &x, Tape *tape = nullptr) const;
 
@@ -123,18 +121,6 @@ class Linear
     /** Effective dense weight: W, or U1*core*U2 when factorized. */
     Tensor effectiveWeight() const;
 
-    /**
-     * Process-wide switch for the fused factorized forward (chains
-     * U2/core/U1 through register-blocked row panels against
-     * pre-packed weights instead of materializing intermediates).
-     * Defaults to on; the off position is the unfused reference that
-     * differential tests and benches compare against. Taped (training)
-     * forwards and skinny batches (rows < microkernel tile height)
-     * always take the unfused path regardless.
-     */
-    static bool fusedForwardEnabled();
-    static void setFusedForwardEnabled(bool enabled);
-
   private:
     int64_t outDim_;
     int64_t inDim_;
@@ -151,34 +137,6 @@ class Linear
     Parameter core_; ///< (pr, pr).
     Parameter u2_;   ///< (pr, in).
     Parameter b_;    ///< (out), optional.
-
-    /**
-     * Pack-once weight panels for the fused inference path: U2^T,
-     * core^T and U1^T in microkernel layout, plus the fingerprint of
-     * the factor values they were packed from. Immutable once built;
-     * forwards share them by reference count.
-     */
-    struct PackedFactors
-    {
-        simd::PackedMat u2t;
-        simd::PackedMat coret;
-        simd::PackedMat u1t;
-        uint64_t fingerprint = 0;
-    };
-
-    /**
-     * The panels for the current factor values, (re)packed when none
-     * exist or the factors changed since (including writes through
-     * parameters() that bypass this class). Safe to call from many
-     * threads at once: packing happens under packMu_.
-     */
-    std::shared_ptr<const PackedFactors> packedFactors() const;
-    /** FNV-1a over the factor values' bit patterns. */
-    uint64_t factorFingerprint() const;
-
-    mutable std::mutex packMu_; ///< Guards packed_.
-    /** Null until the first fused forward. */
-    mutable std::shared_ptr<const PackedFactors> packed_;
 };
 
 } // namespace lrd

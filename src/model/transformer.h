@@ -90,7 +90,8 @@ class TransformerModel
     /**
      * Full-sequence forward; returns logits (T, vocab). With a tape
      * the activations are recorded for backward(); without one this
-     * is pure inference and may take the fused factorized path.
+     * is pure inference and records nothing. Both run the same
+     * arithmetic, so the logits are bitwise equal either way.
      */
     Tensor forward(const TokenSeq &tokens, Tape *tape = nullptr) const;
 

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "robust/cancel.h"
 #include "robust/fault.h"
 #include "util/logging.h"
 
@@ -41,19 +42,26 @@ Batcher::execute(const std::vector<ServeRequest> &batch, bool useFallback,
             LRD_TRACE_SPAN("serve.item");
             const ServeRequest &req = batch[static_cast<size_t>(i)];
             ServeResponse &resp = *out[static_cast<size_t>(i)];
+            const bool poisoned = poisonFirst && i == 0;
+            const double score =
+                poisoned ? std::numeric_limits<double>::quiet_NaN()
+                         : scoreContinuation(model, req.context,
+                                             req.continuation);
+            // Once cancellation is requested the pool drops unclaimed
+            // chunks, so a GEMM of this item may have been cut short.
+            // The token never clears mid-run: a score finished while
+            // it is still unset is exact, any other stays Pending.
+            if (!poisoned && cancelRequested())
+                continue;
             resp.id = req.id;
             resp.outcome = ServeOutcome::Responded;
             resp.degraded = useFallback;
             resp.settledTick = tick;
-            if (poisonFirst && i == 0) {
-                resp.score = std::numeric_limits<double>::quiet_NaN();
+            resp.score = score;
+            if (poisoned)
                 resp.status = Status(StatusCode::NonFinite, "serve.batch",
                                      "injected numeric fault");
-                continue;
-            }
-            resp.score =
-                scoreContinuation(model, req.context, req.continuation);
-            if (!std::isfinite(resp.score))
+            else if (!std::isfinite(resp.score))
                 resp.status = Status(StatusCode::NonFinite, "serve.batch",
                                      "non-finite continuation score");
         }

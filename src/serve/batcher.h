@@ -42,9 +42,11 @@ class Batcher
 
     /**
      * Score `batch` and write outcome/score/status into the matching
-     * slots of `out` (indexed by position in `batch`). Every slot is
-     * settled as Responded; an injected serve.batch numeric fault
-     * settles item 0 with a NonFinite status instead of a score.
+     * slots of `out` (indexed by position in `batch`). Every scored
+     * slot is settled as Responded; an injected serve.batch numeric
+     * fault settles item 0 with a NonFinite status instead of a score.
+     * Once cancellation is requested, items not finished before it
+     * (dropped by the pool, or possibly cut short) stay Pending.
      */
     void execute(const std::vector<ServeRequest> &batch, bool useFallback,
                  int64_t tick, std::vector<ServeResponse *> &out);

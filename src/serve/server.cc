@@ -275,10 +275,11 @@ Server::run(std::vector<ServeRequest> workload)
         }
 
         if (!batch.empty()) {
-            // A formed batch is in-flight: even if this poll (or an
-            // earlier signal) requested cancellation, it executes and
-            // its responses are delivered before the drain below —
-            // an accepted request never loses its response.
+            // A formed batch is in-flight: it executes even if this
+            // poll (or a signal) requested cancellation, and every
+            // item scored before the cancel is delivered. An item the
+            // cancel cut short settles as Cancelled, never with a
+            // partial score.
             pollCancelFault("serve.batch");
             std::vector<ServeResponse *> slots;
             slots.reserve(batch.size());
@@ -297,6 +298,13 @@ Server::run(std::vector<ServeRequest> workload)
             // Delivery phase: serial, per-response.
             pollCancelFault("serve.respond");
             for (size_t i = 0; i < batch.size(); ++i) {
+                if (slots[i]->outcome == ServeOutcome::Pending) {
+                    ++stats.cancelled;
+                    cancelledCtr->inc();
+                    settle(batch[i].id, ServeOutcome::Cancelled,
+                           cancelStatus("serve.batch"), tick);
+                    continue;
+                }
                 ++stats.responded;
                 if (slots[i]->degraded)
                     ++stats.degradedResponses;

@@ -17,10 +17,10 @@
  * Robustness integration:
  *  - SIGINT/SIGTERM or an injected cancel at serve.admit /
  *    serve.batch / serve.respond flips the process cancel token; the
- *    loop finishes the in-flight batch, then drains — unscored
- *    requests settle as Cancelled, telemetry flushes through the
- *    normal lrdtool exit path, and the report carries the Cancelled
- *    status (exit code 3).
+ *    loop finishes the in-flight batch (items the cancel cut short
+ *    settle as Cancelled), then drains — unscored requests settle
+ *    as Cancelled, telemetry flushes through the normal lrdtool exit
+ *    path, and the report carries the Cancelled status (exit code 3).
  *  - LRD_DEADLINE=items:<n> budgets serve work exactly like eval
  *    work: the batch that exhausts the budget is truncated at a
  *    serial point and the run winds down as DeadlineExceeded.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/simd/simd.h"
-
 namespace lrd::simd {
 
 void
@@ -60,54 +58,6 @@ packBPanels(const float *b, int64_t ldb, bool trans, int64_t p0, int64_t j0,
             }
         }
         dst += kNr * kc;
-    }
-}
-
-PackedMat
-packMatrixB(const float *b, int64_t k, int64_t n, bool trans)
-{
-    PackedMat packed;
-    packed.k = k;
-    packed.n = n;
-    const int64_t nPad = (n + kNr - 1) / kNr * kNr;
-    const int64_t numSlabs = (k + kKc - 1) / kKc;
-    // lrd-lint: allow(hot-path-alloc) packing allocates once per GEMM call, ahead of the panel loops
-    packed.slabOffset.reserve(static_cast<size_t>(numSlabs));
-    packed.slabKc.reserve(static_cast<size_t>(numSlabs)); // lrd-lint: allow(hot-path-alloc) see above
-    packed.data.resize(static_cast<size_t>(nPad * k)); // lrd-lint: allow(hot-path-alloc) see above
-    int64_t offset = 0;
-    for (int64_t pc = 0; pc < k; pc += kKc) {
-        const int64_t kc = std::min(kKc, k - pc);
-        packed.slabOffset.push_back(offset); // lrd-lint: allow(hot-path-alloc) see above
-        packed.slabKc.push_back(kc); // lrd-lint: allow(hot-path-alloc) see above
-        packBPanels(b, trans ? k : n, trans, pc, 0, kc, n,
-                    packed.data.data() + offset);
-        offset += nPad * kc;
-    }
-    return packed;
-}
-
-void
-gemmPackedB(const float *a, int64_t lda, int64_t mc, const PackedMat &b,
-            float *c, int64_t ldc, float *scratch)
-{
-    const MicroKernelFn kernel = activeKernels().microKernel;
-    const int64_t n = b.n;
-    for (int64_t s = 0; s < b.numSlabs(); ++s) {
-        const int64_t kc = b.slabKc[static_cast<size_t>(s)];
-        const int64_t pc = s * kKc;
-        const bool addInto = s > 0;
-        packAPanels(a, lda, false, 0, pc, mc, kc, scratch);
-        const float *bslab = b.slab(s);
-        for (int64_t jr = 0; jr < n; jr += kNr) {
-            const float *bp = bslab + (jr / kNr) * kNr * kc;
-            const int64_t nr = std::min(kNr, n - jr);
-            for (int64_t ir = 0; ir < mc; ir += kMr) {
-                const float *ap = scratch + (ir / kMr) * kMr * kc;
-                kernel(ap, bp, kc, c + ir * ldc + jr, ldc,
-                       std::min(kMr, mc - ir), nr, addInto);
-            }
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Panel packing for the blocked GEMM driver and prepacked weights.
+ * Panel packing for the blocked GEMM driver.
  *
  * Tile geometry (floats) shared by every microkernel level:
  *
@@ -13,19 +13,12 @@
  * kNr-wide panels. Both zero-pad partial panels, which keeps the
  * microkernel branch-free; padded lanes only ever feed accumulator
  * entries that are discarded on store.
- *
- * PackedMat is the "pack once, multiply many" form of a whole B
- * operand: every k-slab's panels packed back to back, with per-slab
- * offsets. Serving-style repeated forwards (model/linear.cc fused
- * path) build it once per weight and skip the per-call pack.
  */
 
 #ifndef LRD_TENSOR_SIMD_PACK_H
 #define LRD_TENSOR_SIMD_PACK_H
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace lrd::simd {
 
@@ -55,50 +48,6 @@ void packAPanels(const float *a, int64_t lda, bool trans, int64_t i0,
  */
 void packBPanels(const float *b, int64_t ldb, bool trans, int64_t p0,
                  int64_t j0, int64_t kc, int64_t nc, float *dst);
-
-/**
- * A whole k x n B operand packed once into microkernel panel form:
- * for each k-slab s (kKc deep), ceil(n / kNr) p-major panels.
- */
-struct PackedMat
-{
-    int64_t k = 0;
-    int64_t n = 0;
-    /** Start of slab s in data; slabKc[s] is its depth. */
-    std::vector<int64_t> slabOffset;
-    std::vector<int64_t> slabKc;
-    std::vector<float> data;
-
-    bool empty() const { return data.empty(); }
-    int64_t numSlabs() const
-    {
-        return static_cast<int64_t>(slabOffset.size());
-    }
-    /** Packed panels of slab s (panel j covers columns [j*kNr, ...)). */
-    const float *slab(int64_t s) const
-    {
-        return data.data() + slabOffset[static_cast<size_t>(s)];
-    }
-};
-
-/**
- * Pack a full k x n logical B once (see PackedMat). With trans the
- * storage is transposed as in packBPanels — packMatrixB(w, k, n,
- * true) packs W^T for y = x W^T chains without materializing W^T.
- */
-PackedMat packMatrixB(const float *b, int64_t k, int64_t n, bool trans);
-
-/**
- * C (mc x n, row stride ldc) = A (mc x k, row-major, row stride lda)
- * times a prepacked B — the "multiply many" half of PackedMat. Runs
- * serially on the calling thread (callers parallelize over row
- * panels); mc is expected to be <= kRowChunk.
- * @param scratch Caller-provided pack buffer of at least
- *                kRowChunk * kKc floats, reused across calls.
- */
-void gemmPackedB(const float *a, int64_t lda, int64_t mc,
-                 const PackedMat &b, float *c, int64_t ldc,
-                 float *scratch);
 
 } // namespace lrd::simd
 

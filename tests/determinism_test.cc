@@ -193,23 +193,19 @@ TEST(Determinism, MatmulAcrossThreadCountsAtEverySimdLevel)
     simd::setActiveLevel(restore);
 }
 
-/** The fused factorized forward shares the contract: both its panel
- *  mode (small factors) and stage mode (large factors) chunk rows
- *  identically regardless of thread count. */
+/** The factorized forward's three-GEMM chain shares the contract, at
+ *  a small rank and at one near full. */
 TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
 {
     Rng rng(32);
-    // rank 24 of 96 stays in panel mode; rank 200 of 256 crosses the
-    // packed-weight threshold into stage mode.
     for (const auto &[dim, rank] :
          {std::pair<int64_t, int64_t>{96, 24}, {256, 200}}) {
-        Linear l(dim, dim, /*hasBias=*/true, "dettest.fused", rng);
+        Linear l(dim, dim, /*hasBias=*/true, "dettest.factorized", rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
         const Tensor x = Tensor::randn({96, dim}, rng);
 
-        Linear::setFusedForwardEnabled(true);
         const Tensor y1 = withThreads(1, [&] { return l.forward(x); });
         const Tensor y4 = withThreads(4, [&] { return l.forward(x); });
         const Tensor yN =
@@ -250,9 +246,8 @@ arenaGrowth(Fn fn)
  * One model, shared by every pool worker: the evaluator, a serve
  * batch and a trainer step at 4 threads must reproduce 1 thread
  * bitwise, and must not hold a weight copy per worker. The 4-thread
- * runs go first so the workers race on the first pack of the fused
- * path's factor panels; the trained weights are then re-scored so a
- * repack after an optimizer write races too.
+ * runs go first, and the trained weights are then re-scored, so the
+ * workers read factors an optimizer step has just rewritten.
  */
 TEST(Determinism, OneSharedModelAcrossEvalServeAndTrain)
 {
@@ -261,7 +256,7 @@ TEST(Determinism, OneSharedModelAcrossEvalServeAndTrain)
     std::vector<uint8_t> start;
     {
         TransformerModel model(cfg, 4321);
-        // Factorized tensors exercise the shared fused path.
+        // Factorized tensors exercise the shared three-GEMM chain.
         ASSERT_TRUE(model.applyTucker(0, WeightKind::Query, 8).ok());
         ASSERT_TRUE(model.applyTucker(1, WeightKind::Gate, 8).ok());
         start = model.serialize();

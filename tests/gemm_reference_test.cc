@@ -3,7 +3,8 @@
  * Fuzz tests of the optimized GEMM kernels against a naive reference
  * triple loop, covering all transpose variants, accumulate modes and
  * degenerate shapes; bitwise differential tests of the skinny
- * fallbacks and the RoPE table against the code they replaced.
+ * fallbacks and the RoPE table against the code they replaced, and of
+ * the untaped factorized forward against the taped one.
  */
 
 #include <gtest/gtest.h>
@@ -283,9 +284,6 @@ INSTANTIATE_TEST_SUITE_P(
         return simd::levelName(static_cast<simd::Level>(levelInfo.param));
     });
 
-/** The fused inference path must agree with the unfused three-matmul
- *  chain: same factors, same input, tolerance for the different
- *  blocking/contraction order. */
 TEST(SimdDispatch, PerLevelLookupMatchesDispatchTable)
 {
     // The parity-test lookup must agree with what dispatch actually
@@ -294,70 +292,63 @@ TEST(SimdDispatch, PerLevelLookupMatchesDispatchTable)
               simd::activeKernels().microKernel);
 }
 
-TEST(FusedFactorizedForward, MatchesUnfusedWithinTolerance)
+/** An untaped (inference) factorized forward must equal the taped
+ *  (training) one bit for bit: both run the one three-GEMM chain,
+ *  across the skinny, small-k and blocked GEMM paths. */
+TEST(FactorizedForward, UntapedMatchesTapedBitwise)
 {
     Rng rng(23);
-    for (const auto &[out, in, rank, rows] :
-         {std::tuple<int64_t, int64_t, int64_t, int64_t>{64, 48, 12, 33},
-          {96, 96, 40, 8},
-          {176, 64, 16, 65}}) {
-        Linear l(out, in, /*hasBias=*/true, "fusedtest", rng);
+    std::vector<std::tuple<int64_t, int64_t, int64_t, int64_t>> cases = {
+        {64, 48, 12, 33}, {96, 96, 40, 8}, {176, 64, 16, 65}};
+    for (int64_t rank : {1, 4, 24})
+        for (int64_t rows : {1, 8, 15, 16})
+            cases.emplace_back(64, 48, rank, rows);
+    for (const auto &[out, in, rank, rows] : cases) {
+        Linear l(out, in, /*hasBias=*/true, "factorizedtest", rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
-        Tensor x = Tensor::randn({rows, in}, rng);
+        const Tensor x = Tensor::randn({rows, in}, rng);
 
-        Linear::setFusedForwardEnabled(true);
-        Tensor fused = l.forward(x);
-        Linear::setFusedForwardEnabled(false);
-        Tensor unfused = l.forward(x);
-        Linear::setFusedForwardEnabled(true);
+        const Tensor untaped = l.forward(x);
+        Linear::Tape tape;
+        const Tensor taped = l.forward(x, &tape);
 
-        ASSERT_EQ(fused.dim(0), rows);
-        ASSERT_EQ(fused.dim(1), out);
-        EXPECT_LT(relativeError(unfused, fused), 1e-5)
+        ASSERT_EQ(untaped.dim(0), rows);
+        ASSERT_EQ(untaped.dim(1), out);
+        int64_t mismatches = 0;
+        for (int64_t i = 0; i < taped.size(); ++i)
+            if (std::bit_cast<uint32_t>(untaped[i])
+                != std::bit_cast<uint32_t>(taped[i]))
+                ++mismatches;
+        EXPECT_EQ(mismatches, 0)
             << out << "x" << in << " rank " << rank << " rows " << rows;
     }
 }
 
-/** Below one tile of rows the fused gate must fall back to the
- *  unfused path (identical results, no packed-weight build). */
-TEST(FusedFactorizedForward, SkinnyBatchTakesUnfusedPath)
-{
-    Rng rng(24);
-    Linear l(32, 32, /*hasBias=*/false, "fusedtest.skinny", rng);
-    ASSERT_TRUE(l.factorize(4).ok());
-    Tensor x = Tensor::randn({1, 32}, rng);
-
-    Linear::setFusedForwardEnabled(true);
-    Tensor a = l.forward(x);
-    Linear::setFusedForwardEnabled(false);
-    Tensor b2 = l.forward(x);
-    Linear::setFusedForwardEnabled(true);
-    for (int64_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b2[i]) << i;
-}
-
-/** Writing factor values directly (as calibration and tests do via
- *  parameters()) must not leave the fused path computing against
- *  stale packed panels. */
-TEST(FusedFactorizedForward, DetectsExternalFactorWrites)
+/** Factor values written directly (as AdamW, checkpoint restore and
+ *  tests do via parameters()) must show in the very next forward. */
+TEST(FactorizedForward, DetectsExternalFactorWrites)
 {
     Rng rng(25);
-    Linear l(40, 40, /*hasBias=*/false, "fusedtest.stale", rng);
+    Linear l(40, 40, /*hasBias=*/true, "factorizedtest.write", rng);
     l.installFactorShape(8);
     for (Parameter *p : l.parameters())
         p->value = Tensor::randn(p->value.shape(), rng);
-    Tensor x = Tensor::randn({16, 40}, rng);
-    Tensor before = l.forward(x); // packs the factors
+    const Tensor x = Tensor::randn({16, 40}, rng);
+    const Tensor before = l.forward(x);
 
-    for (Parameter *p : l.parameters())
-        p->value[0] += 1.0F; // bypasses invalidatePackedWeights()
-    Tensor after = l.forward(x);
+    std::vector<Parameter *> params = l.parameters();
+    for (Parameter *p : params)
+        p->value[0] += 1.0F;
+    const Tensor after = l.forward(x);
 
-    Linear::setFusedForwardEnabled(false);
-    Tensor want = l.forward(x);
-    Linear::setFusedForwardEnabled(true);
+    // x W_eff^T + b from the written values.
+    Tensor want = matmulTransB(x, l.effectiveWeight());
+    const Tensor &bias = params.back()->value;
+    for (int64_t i = 0; i < want.dim(0); ++i)
+        for (int64_t j = 0; j < want.dim(1); ++j)
+            want(i, j) += bias[j];
     EXPECT_LT(relativeError(want, after), 1e-5);
     EXPECT_GT(relativeError(before, after), 1e-6);
 }

@@ -142,6 +142,34 @@ TEST(OpCount, ProfileNamesEveryLayerTensor)
     EXPECT_EQ(sum, transformerMacs(cfg, DecompConfig::identity(), wl));
 }
 
+TEST(OpCount, EmbeddingRowMovesGatheredActivationsNotWeights)
+{
+    // The embedding lookup gathers one dModel row per token, so its
+    // bytes scale with the token count; a linear row moves its
+    // parameters, whatever the token count.
+    const ModelConfig cfg = testLlamaConfig();
+    WorkloadParams wl;
+    wl.batch = 3;
+    wl.seqLen = 8;
+    wl.bytesPerParam = 2;
+    const auto ops =
+        profileTransformer(cfg, DecompConfig::identity(), wl);
+    ASSERT_FALSE(ops.empty());
+    const OpProfile &embedding = ops.front();
+    EXPECT_EQ(embedding.name, "embedding");
+    EXPECT_EQ(embedding.macs, 0);
+    EXPECT_EQ(embedding.bytesMoved,
+              wl.batch * wl.seqLen * cfg.dModel * wl.bytesPerParam);
+
+    WorkloadParams longer = wl;
+    longer.seqLen = 2 * wl.seqLen;
+    const auto longerOps =
+        profileTransformer(cfg, DecompConfig::identity(), longer);
+    EXPECT_EQ(longerOps.front().bytesMoved, 2 * embedding.bytesMoved);
+    EXPECT_EQ(longerOps[1].name, ops[1].name);
+    EXPECT_EQ(longerOps[1].bytesMoved, ops[1].bytesMoved);
+}
+
 /** Message of the runtime_error `fn` throws, or "" if it returns. */
 template <typename Fn>
 std::string

@@ -510,24 +510,30 @@ void f() {
 
 // ---------------------------------------------------------- hot-path-alloc
 
-TEST(LintHotPath, TransitiveAllocationFromFusedForwardPrintsPath)
+TEST(LintHotPath, TransitiveAllocationFromSimdRootPrintsPath)
 {
+    // Any function in src/tensor/simd/ is a hot root; the allocation
+    // sits one call away, in another directory.
     const std::vector<SourceFile> tree = {
-        {"src/model/fuse.cc", R"(
-namespace lrd {
+        {"src/tensor/simd/kernel_demo.cc", R"(
+namespace lrd::simd {
+void growScratch(std::vector<float> &v);
+void microKernelDemo(std::vector<float> &v) { growScratch(v); }
+} // namespace lrd::simd
+)"},
+        {"src/tensor/scratch.cc", R"(
+namespace lrd::simd {
 void growScratch(std::vector<float> &v) { v.push_back(0.0F); }
-void fusedFactorizedForward(std::vector<float> &v) { growScratch(v); }
-} // namespace lrd
+} // namespace lrd::simd
 )"},
     };
     const auto diags = lintFiles(tree);
     const Diagnostic *d = findRule(diags, kRuleHotPathAlloc);
     ASSERT_NE(d, nullptr);
-    EXPECT_EQ("src/model/fuse.cc", d->file);
+    EXPECT_EQ("src/tensor/scratch.cc", d->file);
     EXPECT_NE(d->message.find("reachable via:"), std::string::npos);
     EXPECT_NE(d->message.find("growScratch"), std::string::npos);
-    EXPECT_NE(d->message.find("fusedFactorizedForward"),
-              std::string::npos);
+    EXPECT_NE(d->message.find("microKernelDemo"), std::string::npos);
 }
 
 TEST(LintHotPath, ChunkBodyAllocationIsFlagged)

@@ -597,6 +597,35 @@ TEST(ServeChaos, SigintMidRunDrainsAsCancelled)
     EXPECT_EQ(exitCodeForStatus(r.status), kExitCancelled);
 }
 
+TEST(ServeChaos, CancelDuringPooledBatchSettlesItsItemsAsCancelled)
+{
+    // The cancel lands just before a 4-item batch runs on 4 workers;
+    // the pool then drops the batch's unclaimed chunks. Those items,
+    // and any whose GEMMs the cancel may have cut short, must settle
+    // as Cancelled instead of staying Pending or carrying a partial
+    // score.
+    ServeGuard guard;
+    ThreadPool::instance().resize(4);
+    TransformerModel model(serveConfig(), 42);
+    ServeOptions opts;
+    opts.queueCapacity = 64;
+    opts.maxBatch = 4;
+    Server server(model, opts);
+    setFault(FaultSpec{"serve.batch", FaultKind::Cancel, 2});
+    const ServeReport r = server.run(
+        makeSyntheticWorkload(serveConfig(), smallWorkload(12)));
+    EXPECT_EQ(r.status.code(), StatusCode::Cancelled);
+    expectExactlyOnce(r, 12);
+    EXPECT_EQ(r.stats.responded, 4) << "only the first batch responds";
+    EXPECT_EQ(r.stats.cancelled, 8);
+    for (const ServeResponse &resp : r.responses) {
+        if (resp.outcome == ServeOutcome::Responded) {
+            EXPECT_TRUE(resp.status.ok()) << resp.status.toString();
+        }
+    }
+    ThreadPool::instance().resize(1);
+}
+
 TEST(ServeChaos, OutcomeNamesAreStable)
 {
     // These strings are CLI surface (`lrdtool serve` outcome table)

@@ -4,9 +4,9 @@
  *
  * RepoGraph links every parsed translation unit into one index:
  * name-based call resolution, the hot-path reachability set (seeded
- * from SIMD microkernels, fusedFactorizedForward and thread-pool
- * chunk bodies, then propagated through calls and through callback
- * conduits), mutex identity and lock-ordering edges, and the
+ * from SIMD microkernels and thread-pool chunk bodies, then
+ * propagated through calls and through callback conduits), mutex
+ * identity and lock-ordering edges, and the
  * repo-wide identifier liveness set.
  *
  * Resolution is name matching, not overload resolution: a call

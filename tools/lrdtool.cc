@@ -240,14 +240,14 @@ cmdProfile(const std::string &preset, double percent)
             layers.push_back({label, {}});
         LayerCost &cost = layers[it->second].second;
         cost.macs += op.macs;
-        cost.bytes += op.weightBytes;
+        cost.bytes += op.bytesMoved;
     }
     double totalSec = 0.0;
     for (const auto &[label, cost] : layers)
         totalSec += roofline(cost.macs, cost.bytes, dev).latencySec;
 
     TablePrinter table("Per-layer breakdown (prefill, roofline)");
-    table.setHeader({"layer", "MACs (G)", "weights (MB)", "time (ms)",
+    table.setHeader({"layer", "MACs (G)", "moved (MB)", "time (ms)",
                      "share (%)"});
     for (const auto &[label, cost] : layers) {
         const double sec = roofline(cost.macs, cost.bytes, dev).latencySec;
