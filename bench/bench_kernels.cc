@@ -285,7 +285,7 @@ BM_Tucker2dRank1(benchmark::State &state)
         benchmark::DoNotOptimize(d.core.data());
     }
 }
-BENCHMARK(BM_Tucker2dRank1)->Arg(64)->Arg(128);
+BENCHMARK(BM_Tucker2dRank1)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_RandomizedSvdRank8(benchmark::State &state)

@@ -1,5 +1,6 @@
 #include "tucker.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/linalg.h"
@@ -166,6 +167,28 @@ int64_t
 Tucker2d::paramCount() const
 {
     return u1.size() + core.size() + u2.size();
+}
+
+Tucker2d
+Tucker2d::leading(int64_t k) const
+{
+    const int64_t h = u1.dim(0), r = u1.dim(1), wd = u2.dim(1);
+    require(k >= 1 && k <= r,
+            strCat("Tucker2d::leading: rank ", k, " invalid for rank ", r));
+    Tucker2d out;
+    out.status = status;
+    out.u1 = Tensor({h, k});
+    for (int64_t i = 0; i < h; ++i)
+        for (int64_t j = 0; j < k; ++j)
+            out.u1(i, j) = u1(i, j);
+    out.core = Tensor({k, k});
+    for (int64_t i = 0; i < k; ++i)
+        for (int64_t j = 0; j < k; ++j)
+            out.core(i, j) = core(i, j);
+    // u2 is row-major (r x W): its first k rows are one prefix.
+    out.u2 = Tensor({k, wd});
+    std::copy(u2.data(), u2.data() + k * wd, out.u2.data());
+    return out;
 }
 
 Tucker2d

@@ -79,6 +79,15 @@ struct Tucker2d
 
     /** H*pr + pr*pr + pr*W. */
     int64_t paramCount() const;
+
+    /**
+     * The rank-k prefix: the first k columns of u1, the leading k x k
+     * block of the core and the first k rows of u2, with the same
+     * status. Since tucker2dDecompose copies the leading columns of
+     * one full SVD, leading(k) of a rank-r result equals
+     * tucker2dDecompose(w, k) bit for bit, for every 1 <= k <= r.
+     */
+    Tucker2d leading(int64_t k) const;
 };
 
 /** Rank-pruned 2D Tucker of a weight matrix via truncated SVD. */

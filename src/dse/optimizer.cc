@@ -207,6 +207,24 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         baselineTainted = cancelRequested();
     }
 
+    // The factor step, once for the whole sweep: every (layer, tensor)
+    // pair a candidate still to evaluate decomposes, at the largest
+    // candidate rank. Each candidate then only cuts and installs.
+    DecompConfig covering = DecompConfig::allTensors(cfg, {}, 1);
+    for (size_t i = 0; i < grid.size(); ++i) {
+        if (owned[i] == 0 || done[i] != 0)
+            continue;
+        for (int l : spreadSchedule(static_cast<int>(cfg.nLayers),
+                                    grid[i].count))
+            covering.layers.push_back(l);
+        covering.prunedRank = std::max(covering.prunedRank, grid[i].rank);
+    }
+    std::sort(covering.layers.begin(), covering.layers.end());
+    covering.layers.erase(
+        std::unique(covering.layers.begin(), covering.layers.end()),
+        covering.layers.end());
+    Result<WeightFactors> factors = covering.factorWeights(probe);
+
     const auto total = static_cast<int64_t>(grid.size());
     const bool checkpointing =
         !opts.checkpointPath.empty() && opts.checkpointEvery > 0;
@@ -237,7 +255,8 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                     auto evaluate = [&] {
                         TransformerModel model =
                             TransformerModel::deserialize(modelBytes);
-                        Status ds = gamma.applyTo(model);
+                        Status ds =
+                            gamma.install(model, factors.value());
                         if (!ds.ok()) {
                             rec.failed = true;
                             rec.failure = ds.toString();
@@ -290,7 +309,9 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         // every fully evaluated candidate.
         pollCancelFault("dse.batch");
         const int64_t batchEnd = std::min(total, batchStart + stride);
-        Status cancel = checkCancellation("dse.batch");
+        // A cancelled factor step leaves no factors: no candidate runs.
+        Status cancel = factors.ok() ? checkCancellation("dse.batch")
+                                     : factors.status();
         if (cancel.ok()) {
             const int64_t admitted =
                 consumeWorkBudget("steps", batchEnd - batchStart);

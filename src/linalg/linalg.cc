@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "robust/cancel.h"
 #include "robust/fault.h"
 #include "robust/signal.h"
@@ -120,9 +119,11 @@ symmetricEigen(const Tensor &s, int maxSweeps)
             a[static_cast<size_t>(i * n + j)] =
                 0.5 * (static_cast<double>(s(i, j)) + s(j, i));
 
-    std::vector<double> v(static_cast<size_t>(n * n), 0.0);
+    // Eigenvectors are stored transposed: row p of vt is eigenvector
+    // p, so a rotation of vectors p and q walks two contiguous rows.
+    std::vector<double> vt(static_cast<size_t>(n * n), 0.0);
     for (int64_t i = 0; i < n; ++i)
-        v[static_cast<size_t>(i * n + i)] = 1.0;
+        vt[static_cast<size_t>(i * n + i)] = 1.0;
 
     auto off = [&]() {
         double sum = 0.0;
@@ -137,6 +138,14 @@ symmetricEigen(const Tensor &s, int maxSweeps)
     for (double x : a)
         normA += x * x;
     const double tol = 1e-24 * (normA > 0.0 ? normA : 1.0);
+
+    // A NaN never compares above the tolerance, so a non-finite input
+    // would "converge" at once into garbage factors: refuse it before
+    // sweeping. Squares of float-range entries cannot overflow a
+    // double, so the norm is finite exactly when every entry is.
+    const bool finite = std::isfinite(normA);
+    if (!finite)
+        maxSweeps = 0;
 
     struct JacobiMetrics
     {
@@ -187,47 +196,33 @@ symmetricEigen(const Tensor &s, int maxSweeps)
                                     + std::sqrt(theta * theta + 1.0));
                 const double c = 1.0 / std::sqrt(t * t + 1.0);
                 const double sn = t * c;
-                // Rotate rows/cols p and q of A. Each index touches
-                // disjoint elements, so the loops parallelize for
-                // large matrices (the 2048 grain keeps small Jacobi
-                // problems dispatch-free and inline).
-                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) {
-                        const double aip =
-                            a[static_cast<size_t>(i * n + p)];
-                        const double aiq =
-                            a[static_cast<size_t>(i * n + q)];
-                        a[static_cast<size_t>(i * n + p)] =
-                            c * aip - sn * aiq;
-                        a[static_cast<size_t>(i * n + q)] =
-                            sn * aip + c * aiq;
-                    }
-                });
-                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
-                    for (int64_t j = lo; j < hi; ++j) {
-                        const double apj =
-                            a[static_cast<size_t>(p * n + j)];
-                        const double aqj =
-                            a[static_cast<size_t>(q * n + j)];
-                        a[static_cast<size_t>(p * n + j)] =
-                            c * apj - sn * aqj;
-                        a[static_cast<size_t>(q * n + j)] =
-                            sn * apj + c * aqj;
-                    }
-                });
-                // Accumulate eigenvectors.
-                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) {
-                        const double vip =
-                            v[static_cast<size_t>(i * n + p)];
-                        const double viq =
-                            v[static_cast<size_t>(i * n + q)];
-                        v[static_cast<size_t>(i * n + p)] =
-                            c * vip - sn * viq;
-                        v[static_cast<size_t>(i * n + q)] =
-                            sn * vip + c * viq;
-                    }
-                });
+                // Rotate cols, then rows, p and q of A, then
+                // eigenvectors p and q. One Jacobi runs serially:
+                // callers get parallelism by factoring several
+                // weights at once.
+                double *ap = a.data() + p * n;
+                double *aq = a.data() + q * n;
+                for (int64_t i = 0; i < n; ++i) {
+                    double *ai = a.data() + i * n;
+                    const double aip = ai[p];
+                    const double aiq = ai[q];
+                    ai[p] = c * aip - sn * aiq;
+                    ai[q] = sn * aip + c * aiq;
+                }
+                for (int64_t j = 0; j < n; ++j) {
+                    const double apj = ap[j];
+                    const double aqj = aq[j];
+                    ap[j] = c * apj - sn * aqj;
+                    aq[j] = sn * apj + c * aqj;
+                }
+                double *vp = vt.data() + p * n;
+                double *vq = vt.data() + q * n;
+                for (int64_t i = 0; i < n; ++i) {
+                    const double vip = vp[i];
+                    const double viq = vq[i];
+                    vp[i] = c * vip - sn * viq;
+                    vq[i] = sn * vip + c * viq;
+                }
             }
         }
         ++sweepsDone;
@@ -238,7 +233,10 @@ symmetricEigen(const Tensor &s, int maxSweeps)
     jm.sweepsPerCall->record(sweepsDone);
 
     Status convergence;
-    if (cancelled) {
+    if (!finite) {
+        convergence = Status(StatusCode::NonFinite, "jacobi",
+                             "input holds a NaN or Inf entry");
+    } else if (cancelled) {
         convergence = cancelStatus("jacobi");
     } else if (forceNonConverge || offNow > tol) {
         jm.nonconverged->inc();
@@ -248,13 +246,15 @@ symmetricEigen(const Tensor &s, int maxSweeps)
                    " after ", sweepsDone, " sweeps"));
     }
 
-    // Sort descending by eigenvalue.
+    // Sort descending by eigenvalue. NaNs admit no ordering, so a
+    // non-finite input keeps its index order.
     std::vector<int64_t> order(static_cast<size_t>(n));
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
-        return a[static_cast<size_t>(x * n + x)]
-               > a[static_cast<size_t>(y * n + y)];
-    });
+    if (finite)
+        std::sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
+            return a[static_cast<size_t>(x * n + x)]
+                   > a[static_cast<size_t>(y * n + y)];
+        });
 
     EigenResult out;
     out.status = std::move(convergence);
@@ -265,9 +265,9 @@ symmetricEigen(const Tensor &s, int maxSweeps)
         const int64_t src = order[static_cast<size_t>(j)];
         out.values[static_cast<size_t>(j)] =
             a[static_cast<size_t>(src * n + src)];
+        const double *vsrc = vt.data() + src * n;
         for (int64_t i = 0; i < n; ++i)
-            out.vectors(i, j) =
-                static_cast<float>(v[static_cast<size_t>(i * n + src)]);
+            out.vectors(i, j) = static_cast<float>(vsrc[i]);
     }
     return out;
 }

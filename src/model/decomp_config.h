@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "decomp/tucker.h"
 #include "model/config.h"
 #include "model/transformer.h"
 
@@ -29,6 +30,12 @@ struct PrunedRankEntry
     WeightKind kind = WeightKind::Query;
     int64_t rank = 1;
 };
+
+/**
+ * Tucker2d factors of decomposed weights, keyed like rankOverrides by
+ * (layer, kind), each at the highest rank any entry needs.
+ */
+using WeightFactors = std::map<std::pair<int, int>, Tucker2d>;
 
 /** A low-rank decomposition configuration gamma (Definition 4). */
 struct DecompConfig
@@ -85,13 +92,36 @@ struct DecompConfig
     double parameterReduction(const ModelConfig &cfg) const;
 
     /**
-     * Factorize the selected weights of a live model in place. An
-     * invalid configuration is fatal; a tensor whose SVD fails to
-     * converge is resolved by the recovery policy — under degrade the
-     * tensor stays dense and the first failure's status is returned
-     * (the model remains consistent and usable).
+     * Factorize the selected weights of a live model in place: the
+     * factor step, then install(). An invalid configuration is fatal;
+     * a tensor whose SVD fails to converge is resolved by the recovery
+     * policy — under degrade the tensor stays dense and the first
+     * failure's status is returned (the model remains consistent and
+     * usable). A cancelled factor step installs nothing and returns
+     * its status.
      */
     Status applyTo(TransformerModel &model) const;
+
+    /**
+     * The install step: hand each entry's factors, cut down to its
+     * rank by Tucker2d::leading(), to its Linear in entry order, and
+     * fold the outcomes as applyTo() does. `factors` must cover every
+     * entry at no lower rank, e.g. factorWeights() of a configuration
+     * covering this one. An invalid configuration is fatal.
+     */
+    Status install(TransformerModel &model,
+                   const WeightFactors &factors) const;
+
+    /**
+     * The factor step: factor each distinct (layer, tensor) pair once,
+     * at the highest rank any entry needs (clamped to [1, full rank];
+     * install() validates entry ranks), one pair per pool chunk. A
+     * failed factorization is kept with its status for the install to
+     * resolve. When cancellation lands during the step it returns the
+     * Cancelled / DeadlineExceeded status and no factors, since the
+     * pool may have dropped unclaimed pairs.
+     */
+    Result<WeightFactors> factorWeights(const TransformerModel &model) const;
 
     /** "layers={3,18,32} tensors=all pr=1" style summary. */
     std::string describe() const;

@@ -133,18 +133,7 @@ Status
 Linear::factorize(int64_t prunedRank)
 {
     require(!factorized_, "Linear::factorize: already factorized");
-    Tucker2d d = decomposeWithPolicy(
-        tucker2dDecompose(w_.value, prunedRank), w_.name);
-    if (!d.status.ok())
-        return d.status;
-    prunedRank_ = prunedRank;
-    const std::string base = w_.name;
-    u1_ = Parameter(base + ".u1", std::move(d.u1));
-    core_ = Parameter(base + ".core", std::move(d.core));
-    u2_ = Parameter(base + ".u2", std::move(d.u2));
-    w_ = Parameter(base, Tensor({0}));
-    factorized_ = true;
-    return Status();
+    return installFactors(tucker2dDecompose(w_.value, prunedRank));
 }
 
 Status
@@ -167,16 +156,31 @@ Linear::factorizeActivationAware(int64_t prunedRank,
         for (int64_t c = 0; c < inDim_; ++c)
             row[c] *= colScale[static_cast<size_t>(c)];
     }
-    Tucker2d d = decomposeWithPolicy(tucker2dDecompose(scaled, prunedRank),
-                                     w_.name);
+    Tucker2d d = tucker2dDecompose(scaled, prunedRank);
+    if (d.status.ok()) {
+        for (int64_t r = 0; r < prunedRank; ++r) {
+            float *row = d.u2.data() + r * inDim_;
+            for (int64_t c = 0; c < inDim_; ++c)
+                row[c] /= colScale[static_cast<size_t>(c)];
+        }
+    }
+    return installFactors(std::move(d));
+}
+
+Status
+Linear::installFactors(Tucker2d d)
+{
+    require(!factorized_, "Linear::installFactors: already factorized");
+    const int64_t pr = d.u1.rank() == 2 ? d.u1.dim(1) : 0;
+    const Shape coreShape{pr, pr}, u2Shape{pr, inDim_};
+    require(pr >= 1 && d.u1.dim(0) == outDim_ && d.core.shape() == coreShape
+                && d.u2.shape() == u2Shape,
+            strCat("Linear::installFactors: factors do not fit (", outDim_,
+                   ", ", inDim_, ")"));
+    d = decomposeWithPolicy(std::move(d), w_.name);
     if (!d.status.ok())
         return d.status;
-    for (int64_t r = 0; r < prunedRank; ++r) {
-        float *row = d.u2.data() + r * inDim_;
-        for (int64_t c = 0; c < inDim_; ++c)
-            row[c] /= colScale[static_cast<size_t>(c)];
-    }
-    prunedRank_ = prunedRank;
+    prunedRank_ = pr;
     const std::string base = w_.name;
     u1_ = Parameter(base + ".u1", std::move(d.u1));
     core_ = Parameter(base + ".core", std::move(d.core));

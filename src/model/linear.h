@@ -28,6 +28,7 @@
 namespace lrd {
 
 class Counter;
+struct Tucker2d;
 
 /** Dense-or-factorized linear layer with manual backprop. */
 class Linear
@@ -92,6 +93,14 @@ class Linear
      */
     Status factorizeActivationAware(int64_t prunedRank,
                                     const std::vector<float> &colScale);
+
+    /**
+     * Replace the dense weight by ready-made factors of this layer's
+     * weight, e.g. a Tucker2d::leading() cut of a higher-rank
+     * factorization. A non-OK d.status is resolved by the recovery
+     * policy exactly as in factorize().
+     */
+    Status installFactors(Tucker2d d);
 
     /**
      * Switch to factorized layout with zero-initialized factors of

@@ -20,6 +20,7 @@
 #include "eval/evaluator.h"
 #include "linalg/linalg.h"
 #include "model/config.h"
+#include "model/decomp_config.h"
 #include "model/linear.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
@@ -100,6 +101,22 @@ TEST(Determinism, TruncatedSvdAcrossThreadCounts)
     ASSERT_EQ(s1.s.size(), sN.s.size());
     for (size_t i = 0; i < s1.s.size(); ++i)
         EXPECT_EQ(s1.s[i], sN.s[i]) << "singular value " << i;
+}
+
+TEST(Determinism, ApplyToAcrossThreadCounts)
+{
+    // The factor step decomposes one weight per pool chunk; the model
+    // it installs must not depend on how many workers shared the work.
+    const ModelConfig cfg = tinyLlamaConfig();
+    const DecompConfig gamma = DecompConfig::allTensors(cfg, {0, 3, 5}, 2);
+    auto decomposed = [&] {
+        TransformerModel model(cfg, 55);
+        EXPECT_TRUE(gamma.applyTo(model).ok());
+        return model.serialize();
+    };
+    const std::vector<uint8_t> one = withThreads(1, decomposed);
+    EXPECT_EQ(withThreads(4, decomposed), one);
+    EXPECT_EQ(withThreads(kManyThreads, decomposed), one);
 }
 
 TEST(Determinism, EvaluatorAcrossThreadCounts)

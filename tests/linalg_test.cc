@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "linalg/linalg.h"
+#include "parallel/thread_pool.h"
 #include "robust/fault.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -274,6 +278,207 @@ TEST(Eigen, InjectedNonConvergenceIsReportedNotSilent)
     const SvdResult s = truncatedSvd(Tensor::randn({8, 5}, rng), 3);
     clearFaults();
     EXPECT_EQ(s.status.code(), StatusCode::NonConvergence);
+}
+
+TEST(Eigen, NonFiniteInputIsRefusedNotSilent)
+{
+    clearFaults();
+    Rng rng(57);
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+        Tensor a = Tensor::randn({8, 12}, rng);
+        a(3, 5) = bad;
+        const SvdResult s = svd(a);
+        EXPECT_EQ(s.status.code(), StatusCode::NonFinite) << bad;
+        EXPECT_STREQ(s.status.site(), "jacobi");
+        const EigenResult e = symmetricEigen(matmulTransB(a, a));
+        EXPECT_EQ(e.status.code(), StatusCode::NonFinite) << bad;
+        EXPECT_EQ(e.sweeps, 0);
+    }
+}
+
+/**
+ * The Jacobi rotation loop as it stood before it was made serial with
+ * transposed eigenvectors, kept verbatim as the reference the current
+ * kernel must match bit for bit. Metrics, faults and cancellation are
+ * left out: they never touch the numbers.
+ */
+EigenResult
+referenceEigen(const Tensor &s, int maxSweeps)
+{
+    const int64_t n = s.dim(0);
+    std::vector<double> a(static_cast<size_t>(n * n));
+    for (int64_t i = 0; i < n; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            a[static_cast<size_t>(i * n + j)] =
+                0.5 * (static_cast<double>(s(i, j)) + s(j, i));
+
+    std::vector<double> v(static_cast<size_t>(n * n), 0.0);
+    for (int64_t i = 0; i < n; ++i)
+        v[static_cast<size_t>(i * n + i)] = 1.0;
+
+    auto off = [&]() {
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; ++i)
+            for (int64_t j = i + 1; j < n; ++j)
+                sum += a[static_cast<size_t>(i * n + j)]
+                       * a[static_cast<size_t>(i * n + j)];
+        return sum;
+    };
+
+    double normA = 0.0;
+    for (double x : a)
+        normA += x * x;
+    const double tol = 1e-24 * (normA > 0.0 ? normA : 1.0);
+
+    int sweepsDone = 0;
+    double offNow = off();
+    for (int sweep = 0; sweep < maxSweeps && offNow > tol; ++sweep) {
+        for (int64_t p = 0; p < n - 1; ++p) {
+            for (int64_t q = p + 1; q < n; ++q) {
+                const double apq = a[static_cast<size_t>(p * n + q)];
+                if (std::abs(apq) < 1e-300)
+                    continue;
+                const double app = a[static_cast<size_t>(p * n + p)];
+                const double aqq = a[static_cast<size_t>(q * n + q)];
+                const double theta = (aqq - app) / (2.0 * apq);
+                const double t = (theta >= 0.0 ? 1.0 : -1.0)
+                                 / (std::abs(theta)
+                                    + std::sqrt(theta * theta + 1.0));
+                const double c = 1.0 / std::sqrt(t * t + 1.0);
+                const double sn = t * c;
+                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
+                    for (int64_t i = lo; i < hi; ++i) {
+                        const double aip =
+                            a[static_cast<size_t>(i * n + p)];
+                        const double aiq =
+                            a[static_cast<size_t>(i * n + q)];
+                        a[static_cast<size_t>(i * n + p)] =
+                            c * aip - sn * aiq;
+                        a[static_cast<size_t>(i * n + q)] =
+                            sn * aip + c * aiq;
+                    }
+                });
+                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
+                    for (int64_t j = lo; j < hi; ++j) {
+                        const double apj =
+                            a[static_cast<size_t>(p * n + j)];
+                        const double aqj =
+                            a[static_cast<size_t>(q * n + j)];
+                        a[static_cast<size_t>(p * n + j)] =
+                            c * apj - sn * aqj;
+                        a[static_cast<size_t>(q * n + j)] =
+                            sn * apj + c * aqj;
+                    }
+                });
+                parallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
+                    for (int64_t i = lo; i < hi; ++i) {
+                        const double vip =
+                            v[static_cast<size_t>(i * n + p)];
+                        const double viq =
+                            v[static_cast<size_t>(i * n + q)];
+                        v[static_cast<size_t>(i * n + p)] =
+                            c * vip - sn * viq;
+                        v[static_cast<size_t>(i * n + q)] =
+                            sn * vip + c * viq;
+                    }
+                });
+            }
+        }
+        ++sweepsDone;
+        offNow = off();
+    }
+
+    EigenResult out;
+    if (offNow > tol)
+        out.status = Status(
+            StatusCode::NonConvergence, "jacobi",
+            strCat("off-diagonal norm ", offNow, " above tolerance ", tol,
+                   " after ", sweepsDone, " sweeps"));
+    std::vector<int64_t> order(static_cast<size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
+        return a[static_cast<size_t>(x * n + x)]
+               > a[static_cast<size_t>(y * n + y)];
+    });
+    out.sweeps = sweepsDone;
+    out.values.resize(static_cast<size_t>(n));
+    out.vectors = Tensor({n, n});
+    for (int64_t j = 0; j < n; ++j) {
+        const int64_t src = order[static_cast<size_t>(j)];
+        out.values[static_cast<size_t>(j)] =
+            a[static_cast<size_t>(src * n + src)];
+        for (int64_t i = 0; i < n; ++i)
+            out.vectors(i, j) =
+                static_cast<float>(v[static_cast<size_t>(i * n + src)]);
+    }
+    return out;
+}
+
+void
+expectBitwiseEqualEigen(const Tensor &s, int maxSweeps)
+{
+    const EigenResult want = referenceEigen(s, maxSweeps);
+    const EigenResult got = symmetricEigen(s, maxSweeps);
+    EXPECT_EQ(got.sweeps, want.sweeps);
+    EXPECT_EQ(got.status.toString(), want.status.toString());
+    ASSERT_EQ(got.values.size(), want.values.size());
+    EXPECT_EQ(std::memcmp(got.values.data(), want.values.data(),
+                          got.values.size() * sizeof(double)),
+              0);
+    ASSERT_EQ(got.vectors.shape(), want.vectors.shape());
+    EXPECT_EQ(std::memcmp(got.vectors.data(), want.vectors.data(),
+                          static_cast<size_t>(got.vectors.size())
+                              * sizeof(float)),
+              0);
+}
+
+/** Symmetric n x n inputs of every shape class the kernel meets. */
+std::vector<std::pair<std::string, Tensor>>
+eigenInputs(int64_t n, Rng &rng)
+{
+    std::vector<std::pair<std::string, Tensor>> in;
+    const Tensor b = Tensor::randn({n, n + 3}, rng);
+    in.emplace_back("gram", matmulTransB(b, b));
+    in.emplace_back("zero", Tensor({n, n}));
+    Tensor eye({n, n});
+    for (int64_t i = 0; i < n; ++i)
+        eye(i, i) = 1.0F;
+    in.emplace_back("identity", eye);
+    // Q diag(2, 2, 1, 1, ...) Q^T: every eigenvalue repeated.
+    const Tensor q = randomOrthonormal(n, n, rng);
+    Tensor qd = q;
+    for (int64_t i = 0; i < n; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            qd(i, j) *= j < n / 2 ? 2.0F : 1.0F;
+    in.emplace_back("repeated", matmulTransB(qd, q));
+    const Tensor u = Tensor::randn({n, 1}, rng);
+    in.emplace_back("rank1", matmulTransB(u, u));
+    return in;
+}
+
+TEST(Eigen, SerialTransposedKernelMatchesReferenceBitwise)
+{
+    clearFaults();
+    for (const int threads : {1, 4}) {
+        ThreadPool::instance().resize(threads);
+        for (const int64_t n : {1, 2, 3, 17, 64, 128}) {
+            Rng rng(static_cast<uint64_t>(900 + n));
+            for (const auto &[name, s] : eigenInputs(n, rng)) {
+                SCOPED_TRACE(strCat(name, " n=", n, " threads=", threads));
+                expectBitwiseEqualEigen(s, 60);
+            }
+        }
+        // A sweep cap below convergence takes the NonConvergence path
+        // and returns the partial factors.
+        Rng rng(77);
+        const Tensor b = Tensor::randn({17, 20}, rng);
+        const Tensor gram = matmulTransB(b, b);
+        ASSERT_FALSE(symmetricEigen(gram, 1).status.ok());
+        SCOPED_TRACE(strCat("maxSweeps=1 threads=", threads));
+        expectBitwiseEqualEigen(gram, 1);
+    }
+    ThreadPool::instance().resize(1);
 }
 
 } // namespace

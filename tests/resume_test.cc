@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -412,6 +413,144 @@ TEST(Resume, StrictPolicyFailsFastOnNonConvergence)
     EXPECT_THROW(model.applyTucker(0, WeightKind::Query, 2),
                  std::runtime_error);
     clearFaults();
+}
+
+TEST(Resume, FactorizeKeepsDenseOnNonFiniteWeight)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(1);
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+        TransformerModel model(smallConfig(), 42);
+        model.linear(0, WeightKind::Query).weight().value(1, 2) = bad;
+        const Status s = model.applyTucker(0, WeightKind::Query, 2);
+        EXPECT_EQ(s.code(), StatusCode::NonFinite) << s.toString();
+        EXPECT_FALSE(model.linear(0, WeightKind::Query).isFactorized());
+
+        RobustPolicy strict;
+        strict.mode = RobustMode::Strict;
+        setRobustPolicy(strict);
+        EXPECT_THROW(model.applyTucker(0, WeightKind::Query, 2),
+                     std::runtime_error);
+        setRobustPolicy(RobustPolicy{});
+    }
+}
+
+/** Every linear layer of `model` that is factorized. */
+int
+numFactorized(const TransformerModel &model)
+{
+    int n = 0;
+    for (int64_t l = 0; l < model.numLayers(); ++l)
+        for (WeightKind k : decomposableKinds(model.config().arch))
+            n += model.linear(l, k).isFactorized() ? 1 : 0;
+    return n;
+}
+
+/** The factor step runs once per sweep, and a candidate installed
+ *  from it scores exactly like one decomposed afresh. */
+TEST(FactorStep, SweepRecordsEqualFreshApplyPerCandidate)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(4);
+    MetricsRegistry::instance().setEnabled(true);
+    Counter *svdCalls = MetricsRegistry::instance().counter("svd.calls");
+
+    OptimizerOptions opts;
+    opts.evalTasks = 6;
+    opts.accuracyDropTolerance = 1.1;
+    opts.candidateRanks = {1, 2, 4};
+    const int64_t calls0 = svdCalls->total();
+    const OptimizerResult res =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    const int64_t calls = svdCalls->total() - calls0;
+    MetricsRegistry::instance().setEnabled(false);
+    ASSERT_FALSE(res.cancelled);
+    const ModelConfig cfg = smallConfig();
+    EXPECT_EQ(calls, cfg.nLayers
+                         * static_cast<int64_t>(
+                             decomposableKinds(cfg.arch).size()));
+
+    ASSERT_EQ(res.explored.size(), 3U * static_cast<size_t>(cfg.nLayers));
+    for (const CandidateRecord &rec : res.explored) {
+        SCOPED_TRACE(rec.config.describe());
+        TransformerModel model = TransformerModel::deserialize(trainedBytes());
+        ASSERT_TRUE(rec.config.applyTo(model).ok());
+        Evaluator ev(model, smallWorld(),
+                     EvalOptions{opts.evalTasks, opts.evalSeed, false});
+        EXPECT_EQ(ev.aggregateAccuracy(), rec.accuracy);
+        EXPECT_FALSE(rec.failed);
+    }
+    ThreadPool::instance().resize(1);
+}
+
+TEST(FactorStep, InstallWithRankOverridesEqualsFreshApply)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(4);
+    const ModelConfig cfg = smallConfig();
+    DecompConfig gamma = DecompConfig::allTensors(cfg, {0, 2}, 2);
+    gamma.rankOverrides[{0, static_cast<int>(WeightKind::Query)}] = 5;
+    gamma.rankOverrides[{2, static_cast<int>(WeightKind::Down)}] = 1;
+
+    TransformerModel fresh = TransformerModel::deserialize(trainedBytes());
+    ASSERT_TRUE(gamma.applyTo(fresh).ok());
+
+    const TransformerModel dense =
+        TransformerModel::deserialize(trainedBytes());
+    const DecompConfig covering =
+        DecompConfig::allTensors(cfg, {0, 1, 2, 3}, 8);
+    Result<WeightFactors> factors = covering.factorWeights(dense);
+    ASSERT_TRUE(factors.ok());
+    TransformerModel installed =
+        TransformerModel::deserialize(trainedBytes());
+    ASSERT_TRUE(gamma.install(installed, factors.value()).ok());
+    EXPECT_EQ(installed.serialize(), fresh.serialize());
+    ThreadPool::instance().resize(1);
+}
+
+/** A kill inside the factor step installs nothing: applyTo returns
+ *  the cancel, and a sweep evaluates no candidate on partial factors
+ *  and resumes bitwise. */
+TEST(FactorStep, CancelledFactorStepInstallsNothing)
+{
+    RobustGuard guard;
+    ThreadPool::instance().resize(4);
+    const ModelConfig cfg = smallConfig();
+    TransformerModel model = TransformerModel::deserialize(trainedBytes());
+    setFault(FaultSpec{"jacobi", FaultKind::Cancel, 3});
+    const Status s =
+        DecompConfig::allTensors(cfg, {0, 1, 2, 3}, 2).applyTo(model);
+    clearFaults();
+    clearCancelRequest();
+    EXPECT_EQ(s.code(), StatusCode::Cancelled) << s.toString();
+    EXPECT_EQ(numFactorized(model), 0);
+
+    OptimizerOptions opts;
+    opts.evalTasks = 6;
+    opts.accuracyDropTolerance = 1.1;
+    const OptimizerResult ref =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    ASSERT_FALSE(ref.cancelled);
+
+    opts.checkpointPath = ckptPath("lrd_resume_dse_factor.bin");
+    opts.checkpointEvery = 2;
+    setFault(FaultSpec{"jacobi", FaultKind::Cancel, 2});
+    const OptimizerResult cut =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    clearFaults();
+    clearCancelRequest();
+    ASSERT_TRUE(cut.cancelled);
+    EXPECT_EQ(cut.status.code(), StatusCode::Cancelled);
+    EXPECT_TRUE(cut.explored.empty());
+
+    opts.resume = true;
+    const OptimizerResult resumed =
+        optimizeDecomposition(trainedBytes(), smallWorld(), opts);
+    ASSERT_FALSE(resumed.cancelled);
+    expectSameRecords(resumed.explored, ref.explored);
+    EXPECT_EQ(resumed.best.edp, ref.best.edp);
+    ThreadPool::instance().resize(1);
 }
 
 /** A kill-and-resume DSE sweep over factorized candidates must

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "decomp/tucker.h"
 #include "linalg/linalg.h"
@@ -217,6 +218,37 @@ TEST(TuckerResult, ParamCountSumsCoreAndFactors)
 
 /** Property: rank-pruned 2D decomposition error equals the optimal
  *  (Eckart-Young) error for every rank. */
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape()
+           && std::memcmp(a.data(), b.data(),
+                          static_cast<size_t>(a.size()) * sizeof(float))
+                  == 0;
+}
+
+TEST(Tucker2d, LeadingEqualsDecomposingAtThatRank)
+{
+    Rng rng(31);
+    // Short-fat and tall weights take the two SVD orientations.
+    for (const Shape &shape : {Shape{12, 20}, Shape{20, 12}}) {
+        const Tensor w = Tensor::randn(shape, rng);
+        const int64_t full = std::min(shape[0], shape[1]);
+        const Tucker2d top = tucker2dDecompose(w, full);
+        for (int64_t k = 1; k <= full; ++k) {
+            SCOPED_TRACE(strCat(shapeToString(shape), " k=", k));
+            const Tucker2d cut = top.leading(k);
+            const Tucker2d fresh = tucker2dDecompose(w, k);
+            EXPECT_TRUE(sameBytes(cut.u1, fresh.u1));
+            EXPECT_TRUE(sameBytes(cut.core, fresh.core));
+            EXPECT_TRUE(sameBytes(cut.u2, fresh.u2));
+            EXPECT_EQ(cut.status.toString(), fresh.status.toString());
+        }
+        EXPECT_THROW((void)top.leading(0), std::runtime_error);
+        EXPECT_THROW((void)top.leading(full + 1), std::runtime_error);
+    }
+}
+
 class Tucker2dOptimal : public ::testing::TestWithParam<int> {};
 
 TEST_P(Tucker2dOptimal, MatchesEckartYoung)
