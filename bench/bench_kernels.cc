@@ -224,7 +224,7 @@ BM_CrossoverDense(benchmark::State &state)
 {
     const auto h = static_cast<int64_t>(state.range(0));
     Rng rng(15);
-    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
+    Linear l(h, h, /*hasBias=*/false, "bench.crossover", &rng);
     Tensor x = Tensor::randn({kCrossoverRows, h}, rng);
     for (auto _ : state) {
         Tensor y = l.forward(x);
@@ -240,7 +240,7 @@ BM_CrossoverFactorized(benchmark::State &state)
     const auto h = static_cast<int64_t>(state.range(0));
     const auto r = static_cast<int64_t>(state.range(1));
     Rng rng(16);
-    Linear l(h, h, /*hasBias=*/false, "bench.crossover", rng);
+    Linear l(h, h, /*hasBias=*/false, "bench.crossover", &rng);
     randomizeFactors(l, r, rng);
     Tensor x = Tensor::randn({kCrossoverRows, h}, rng);
     for (auto _ : state) {
@@ -305,7 +305,7 @@ void
 BM_DenseLinearForward(benchmark::State &state)
 {
     Rng rng(7);
-    Linear l(176, 64, false, "bench", rng);
+    Linear l(176, 64, false, "bench", &rng);
     Tensor x = Tensor::randn({64, 64}, rng);
     for (auto _ : state) {
         Tensor y = l.forward(x);
@@ -318,7 +318,7 @@ void
 BM_FactorizedLinearForward(benchmark::State &state)
 {
     Rng rng(8);
-    Linear l(176, 64, false, "bench", rng);
+    Linear l(176, 64, false, "bench", &rng);
     const Status st = l.factorize(static_cast<int64_t>(state.range(0)));
     if (!st.ok()) {
         state.SkipWithError(st.toString().c_str());

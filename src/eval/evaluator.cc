@@ -44,32 +44,22 @@ scoreItem(const Body &body)
 
 /**
  * Score one multiple-choice item on a decoder model by summed
- * log-likelihood of each choice continuation over a shared-context
- * KV-cache session.
+ * log-likelihood of each choice continuation over one KV-cache
+ * session holding the shared context.
  */
 int
 pickCausal(const TransformerModel &model, const McTask &task,
            const EvalOptions &opts)
 {
-    InferenceSession base(model);
-    Tensor firstLogits = base.append(task.context);
+    InferenceSession session(model);
+    const Tensor contextLogits = session.append(task.context);
+    const int64_t contextLen = session.length();
 
     double bestScore = -std::numeric_limits<double>::infinity();
     int best = 0;
     for (size_t c = 0; c < task.choices.size(); ++c) {
         const TokenSeq &choice = task.choices[c];
-        require(!choice.empty(), "Evaluator: empty choice");
-        // Copy the shared-context session so each choice extends its
-        // own KV cache.
-        InferenceSession session = base;
-        Tensor logits = firstLogits;
-        double ll = 0.0;
-        for (size_t i = 0; i < choice.size(); ++i) {
-            Tensor lp = logSoftmaxLastDim(logits);
-            ll += lp[choice[i]];
-            if (i + 1 < choice.size())
-                logits = session.append({choice[i]});
-        }
+        double ll = scoreChoice(session, contextLen, contextLogits, choice);
         if (opts.lengthNormalize)
             ll /= static_cast<double>(choice.size());
         if (ll > bestScore) {
@@ -193,6 +183,19 @@ foldItems(const std::vector<Status> &itemStatus, const CorrectAt &correctAt)
 }
 
 } // namespace
+
+double
+scoreChoice(InferenceSession &session, int64_t contextLen,
+            const Tensor &contextLogits, const TokenSeq &choice)
+{
+    require(!choice.empty(), "Evaluator: empty choice");
+    session.rewind(contextLen);
+    double ll = logSoftmaxLastDim(contextLogits)[choice[0]];
+    for (size_t i = 1; i < choice.size(); ++i)
+        // lrd-lint: allow(hot-path-alloc) InferenceSession::append is a decode step, not container growth
+        ll += logSoftmaxLastDim(session.append({choice[i - 1]}))[choice[i]];
+    return ll;
+}
 
 Evaluator::Evaluator(const TransformerModel &model, const World &world,
                      EvalOptions opts)

@@ -6,9 +6,10 @@
  * by greedy-decode exact match.
  *
  * Decoder (LlamaStyle) models share the context prefix across choices
- * through a copied KV-cache session. Encoder (BertStyle) models are
- * scored by pseudo-log-likelihood: each choice position is masked in
- * turn and the original token's probability read out.
+ * through one KV-cache session, rewound to the context between
+ * choices. Encoder (BertStyle) models are scored by pseudo-log-
+ * likelihood: each choice position is masked in turn and the original
+ * token's probability read out.
  *
  * Items fan out across the thread pool on the one model the evaluator
  * was given: inference only reads the weights, and each item keeps its
@@ -33,6 +34,15 @@ struct EvalOptions
     uint64_t seed = 777;         ///< Task-generation seed.
     bool lengthNormalize = false; ///< acc_norm-style scoring.
 };
+
+/**
+ * Summed log-likelihood of `choice` as the continuation of the
+ * context held in the first `contextLen` positions of `session`,
+ * whose last logits row is `contextLogits`. Rewinds the session to
+ * contextLen first, so every choice of an item scores on one session.
+ */
+double scoreChoice(InferenceSession &session, int64_t contextLen,
+                   const Tensor &contextLogits, const TokenSeq &choice);
 
 /** Runs the benchmark suite against one model. */
 class Evaluator

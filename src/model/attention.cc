@@ -25,7 +25,7 @@ headsProcessedCounter()
 } // namespace
 
 MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
-                                       int64_t layerIdx, Rng &rng)
+                                       int64_t layerIdx, Rng *rng)
     : dModel_(cfg.dModel), nHeads_(cfg.nHeads), kvHeads_(cfg.kvHeads()),
       kvDim_(cfg.kvDim()), headDim_(cfg.headDim()),
       causal_(cfg.causal()), useRope_(cfg.arch == Arch::LlamaStyle)

@@ -38,7 +38,8 @@ struct KvCache
 class MultiHeadAttention
 {
   public:
-    MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
+    /** `rng` as for Linear: null leaves the projections zero. */
+    MultiHeadAttention(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
     /** What backward() needs from one forward(). */
     struct Tape

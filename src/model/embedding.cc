@@ -7,15 +7,17 @@
 namespace lrd {
 
 Embedding::Embedding(int64_t vocab, int64_t dim, int64_t maxSeq,
-                     bool usePositions, const std::string &name, Rng &rng)
+                     bool usePositions, const std::string &name, Rng *rng)
     : vocab_(vocab), dim_(dim), usePositions_(usePositions)
 {
     const float stddev = 0.02F;
-    tok_ = Parameter(name + ".tok",
-                     Tensor::randn({vocab, dim}, rng, stddev));
+    const auto init = [&](Shape shape) {
+        return rng != nullptr ? Tensor::randn(std::move(shape), *rng, stddev)
+                              : Tensor(std::move(shape));
+    };
+    tok_ = Parameter(name + ".tok", init({vocab, dim}));
     if (usePositions_)
-        pos_ = Parameter(name + ".pos",
-                         Tensor::randn({maxSeq, dim}, rng, stddev));
+        pos_ = Parameter(name + ".pos", init({maxSeq, dim}));
 }
 
 Tensor

@@ -36,13 +36,15 @@ decomposeWithPolicy(Tucker2d d, const std::string &name)
 } // namespace
 
 Linear::Linear(int64_t outDim, int64_t inDim, bool hasBias,
-               const std::string &name, Rng &rng)
+               const std::string &name, Rng *rng)
     : outDim_(outDim), inDim_(inDim), hasBias_(hasBias), name_(name)
 {
     require(outDim > 0 && inDim > 0, "Linear: dims must be positive");
     const float stddev = 1.0F / std::sqrt(static_cast<float>(inDim));
     w_ = Parameter(name + ".w",
-                   Tensor::randn({outDim, inDim}, rng, stddev));
+                   rng != nullptr
+                       ? Tensor::randn({outDim, inDim}, *rng, stddev)
+                       : Tensor({outDim, inDim}));
     if (hasBias_)
         b_ = Parameter(name + ".b", Tensor({outDim}));
 }

@@ -39,10 +39,12 @@ class Linear
      * @param inDim  Input features.
      * @param hasBias Whether to include a bias vector.
      * @param name   Parameter-name prefix for optimizers/serialization.
-     * @param rng    Initialization stream (scaled normal init).
+     * @param rng    Initialization stream (scaled normal init); null
+     *               leaves the weight zero for a caller that
+     *               overwrites it (deserialization).
      */
     Linear(int64_t outDim, int64_t inDim, bool hasBias,
-           const std::string &name, Rng &rng);
+           const std::string &name, Rng *rng);
 
     /**
      * What backward() needs from one forward(): the input and, when

@@ -37,7 +37,7 @@ geluGrad(float x)
 
 } // namespace
 
-Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng)
+Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng)
     : arch_(cfg.arch)
 {
     const std::string base = strCat("layer", layerIdx, ".mlp.");

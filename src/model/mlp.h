@@ -19,7 +19,8 @@ namespace lrd {
 class Mlp
 {
   public:
-    Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
+    /** `rng` as for Linear: null leaves the projections zero. */
+    Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
     /** What backward() needs from one forward(). */
     struct Tape

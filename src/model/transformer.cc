@@ -34,7 +34,7 @@ guardBlockOutput(Tensor &h, int64_t layerIdx)
 } // namespace
 
 TransformerBlock::TransformerBlock(const ModelConfig &cfg, int64_t layerIdx,
-                                   Rng &rng)
+                                   Rng *rng)
     : arch_(cfg.arch)
 {
     const std::string base = strCat("layer", layerIdx, ".");
@@ -165,10 +165,16 @@ TransformerBlock::paramCount() const
 }
 
 TransformerModel::TransformerModel(const ModelConfig &cfg, uint64_t seed)
+    : TransformerModel(cfg, std::optional<Rng>(seed))
+{
+}
+
+TransformerModel::TransformerModel(const ModelConfig &cfg,
+                                   std::optional<Rng> init)
     : cfg_(cfg)
 {
     cfg_.validate();
-    Rng rng(seed);
+    Rng *rng = init ? &*init : nullptr;
     embedding_ = std::make_unique<Embedding>(
         cfg_.vocabSize, cfg_.dModel, cfg_.maxSeq,
         cfg_.arch == Arch::BertStyle, "emb", rng);
@@ -410,7 +416,7 @@ TransformerModel::deserialize(const std::vector<uint8_t> &bytes)
     cfg.dFf = static_cast<int64_t>(r.getU64());
     cfg.maxSeq = static_cast<int64_t>(r.getU64());
 
-    TransformerModel model(cfg);
+    TransformerModel model(cfg, std::nullopt);
     if (magic != "lrd-model-v1") {
         const uint64_t n = r.getU64();
         for (uint64_t i = 0; i < n; ++i) {
@@ -443,15 +449,19 @@ InferenceSession::InferenceSession(const TransformerModel &model)
 {
     require(model.config().arch == Arch::LlamaStyle,
             "InferenceSession: KV-cache decoding is decoder-only");
-    reset();
-}
-
-void
-InferenceSession::reset()
-{
     caches_.assign(static_cast<size_t>(model_->numLayers()),
                    KvCache(model_->config().maxSeq,
                            model_->config().kvDim()));
+}
+
+void
+InferenceSession::rewind(int64_t len)
+{
+    require(len >= 0 && len <= length(),
+            strCat("InferenceSession::rewind: length ", len,
+                   " outside [0, ", length(), "]"));
+    for (KvCache &c : caches_)
+        c.len = len;
 }
 
 Tensor

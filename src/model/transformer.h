@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,8 @@ namespace lrd {
 class TransformerBlock
 {
   public:
-    TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng &rng);
+    /** `rng` as for Linear: null leaves the projections zero. */
+    TransformerBlock(const ModelConfig &cfg, int64_t layerIdx, Rng *rng);
 
     /** What backward() needs from one forward(). */
     struct Tape
@@ -163,6 +165,11 @@ class TransformerModel
   private:
     friend class InferenceSession;
 
+    /** Build every layer, drawing the weights from `init`; without
+     *  a stream they stay zero, for deserialize(), which overwrites
+     *  every parameter. */
+    TransformerModel(const ModelConfig &cfg, std::optional<Rng> init);
+
     ModelConfig cfg_;
     std::unique_ptr<Embedding> embedding_;
     std::vector<std::unique_ptr<TransformerBlock>> blocks_;
@@ -173,17 +180,26 @@ class TransformerModel
 /**
  * KV-cache incremental decoding session over a LlamaStyle model. The
  * session owns all per-sequence state; the model is only read, so
- * sessions on many threads may share one model. Sessions are cheaply
- * copyable, which the evaluator uses to score multiple choices
- * against a shared context prefix.
+ * sessions on many threads may share one model. A session can be
+ * rewound to any earlier length, which the evaluator uses to score
+ * every choice of an item against one shared context prefix.
  */
 class InferenceSession
 {
   public:
     explicit InferenceSession(const TransformerModel &model);
 
+    /**
+     * Drop every position from `len` on; the next append() continues
+     * at position `len`. Fatal unless 0 <= len <= length(). Bitwise
+     * safe: a step writes its cache rows before it reads them and
+     * reads no row past its own position, so the dropped rows are
+     * never seen again.
+     */
+    void rewind(int64_t len);
+
     /** Clear the caches; the session restarts at position 0. */
-    void reset();
+    void reset() { rewind(0); }
 
     /**
      * Feed tokens and return the logits row of the last fed token

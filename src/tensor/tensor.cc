@@ -38,9 +38,8 @@ numElements(const Shape &shape)
 void
 Tensor::accountAlloc()
 {
-    accountedBytes_ =
-        static_cast<int64_t>(data_.size() * sizeof(float));
-    tensorArenaRecordAlloc(accountedBytes_);
+    arenaToken_ = tensorArenaRecordAlloc(
+        static_cast<int64_t>(data_.size() * sizeof(float)));
 }
 
 Tensor::Tensor() : shape_(), data_(1, 0.0F)
@@ -66,7 +65,7 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
 
 Tensor::~Tensor()
 {
-    tensorArenaRecordFree(accountedBytes_);
+    tensorArenaRecordFree(arenaToken_);
 }
 
 Tensor::Tensor(const Tensor &other)
@@ -77,9 +76,9 @@ Tensor::Tensor(const Tensor &other)
 
 Tensor::Tensor(Tensor &&other) noexcept
     : shape_(std::move(other.shape_)), data_(std::move(other.data_)),
-      accountedBytes_(other.accountedBytes_)
+      arenaToken_(other.arenaToken_)
 {
-    other.accountedBytes_ = 0;
+    other.arenaToken_ = 0;
 }
 
 Tensor &
@@ -87,7 +86,7 @@ Tensor::operator=(const Tensor &other)
 {
     if (this == &other)
         return *this;
-    tensorArenaRecordFree(accountedBytes_);
+    tensorArenaRecordFree(arenaToken_);
     shape_ = other.shape_;
     data_ = other.data_;
     accountAlloc();
@@ -99,11 +98,11 @@ Tensor::operator=(Tensor &&other) noexcept
 {
     if (this == &other)
         return *this;
-    tensorArenaRecordFree(accountedBytes_);
+    tensorArenaRecordFree(arenaToken_);
     shape_ = std::move(other.shape_);
     data_ = std::move(other.data_);
-    accountedBytes_ = other.accountedBytes_;
-    other.accountedBytes_ = 0;
+    arenaToken_ = other.arenaToken_;
+    other.arenaToken_ = 0;
     return *this;
 }
 

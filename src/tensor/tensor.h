@@ -49,10 +49,11 @@ class Tensor
     Tensor(Shape shape, std::vector<float> data);
 
     /** @name Arena-accounted special members
-     *  Every tensor reports its payload bytes to the process-wide
-     *  arena counters (util/memprobe.h) so the telemetry sampler can
-     *  chart live/peak numeric memory without walking live objects.
-     *  Moves transfer the accounted bytes; copies account their own.
+     *  Every tensor reports its payload bytes to the arena counters
+     *  (util/memprobe.h), on the constructing thread's shard, so the
+     *  telemetry sampler can chart live/peak numeric memory without
+     *  walking live objects. Moves transfer the accounted bytes;
+     *  copies account their own.
      *  @{
      */
     ~Tensor();
@@ -137,10 +138,12 @@ class Tensor
 
     Shape shape_;
     std::vector<float> data_;
-    /** Bytes this instance reported as allocated (0 after move-out);
-     *  external growth through storage() is deliberately unaccounted
-     *  — the counters are a telemetry gauge, not an allocator. */
-    int64_t accountedBytes_ = 0;
+    /** Arena token of the bytes this instance reported as allocated:
+     *  the byte count with the allocating shard packed in, 0 after
+     *  move-out. External growth through storage() is deliberately
+     *  unaccounted — the counters are a telemetry gauge, not an
+     *  allocator. */
+    int64_t arenaToken_ = 0;
 };
 
 } // namespace lrd

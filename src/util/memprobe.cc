@@ -21,24 +21,32 @@ parseStatusLine(const char *line, const char *key)
     return static_cast<int64_t>(kb) * 1024;
 }
 
-struct ArenaCounters
+constexpr int kShardBits = 6;
+constexpr int kShards = 1 << kShardBits;
+
+/** One thread's counters, alone on its cache line. Live bytes are
+ *  allocBytes - freedBytes, so an allocation costs two uncontended
+ *  read-modify-writes and a free one. */
+struct alignas(64) ArenaShard
 {
     std::atomic<int64_t> allocCount{0};
     std::atomic<int64_t> allocBytes{0};
     std::atomic<int64_t> freedBytes{0};
-    std::atomic<int64_t> liveBytes{0};
     std::atomic<int64_t> peakLiveBytes{0};
 };
 
-ArenaCounters &
-arena()
+ArenaShard *
+shards()
 {
-    // Leaked: tensors owned by function-local statics (the model
-    // cache) destruct after main, and their accounting must still
-    // find live counters.
-    static ArenaCounters *c = new ArenaCounters; // lrd-lint: allow(hot-path-alloc) lazy singleton
-    return *c;
+    // Constant-initialized and trivially destructible: tensors owned
+    // by function-local statics (the model cache) destruct after
+    // main, and their accounting still finds live counters.
+    static ArenaShard s[kShards];
+    return s;
 }
+
+std::atomic<int> nextShard{0};
+thread_local int threadShard = -1;
 
 } // namespace
 
@@ -64,48 +72,60 @@ sampleProcMem()
     return out;
 }
 
-void
+int64_t
 tensorArenaRecordAlloc(int64_t bytes)
 {
-    ArenaCounters &c = arena();
-    c.allocCount.fetch_add(1, std::memory_order_relaxed);
-    c.allocBytes.fetch_add(bytes, std::memory_order_relaxed);
+    if (threadShard < 0)
+        threadShard =
+            nextShard.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
+    ArenaShard &s = shards()[threadShard];
+    s.allocCount.fetch_add(1, std::memory_order_relaxed);
     const int64_t live =
-        c.liveBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    int64_t peak = c.peakLiveBytes.load(std::memory_order_relaxed);
+        s.allocBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes
+        - s.freedBytes.load(std::memory_order_relaxed);
+    int64_t peak = s.peakLiveBytes.load(std::memory_order_relaxed);
     while (live > peak
-           && !c.peakLiveBytes.compare_exchange_weak(
+           && !s.peakLiveBytes.compare_exchange_weak(
                peak, live, std::memory_order_relaxed))
         ;
+    return bytes << kShardBits | threadShard;
 }
 
 void
-tensorArenaRecordFree(int64_t bytes)
+tensorArenaRecordFree(int64_t token)
 {
-    ArenaCounters &c = arena();
-    c.freedBytes.fetch_add(bytes, std::memory_order_relaxed);
-    c.liveBytes.fetch_sub(bytes, std::memory_order_relaxed);
+    const int64_t bytes = token >> kShardBits;
+    if (bytes == 0)
+        return;
+    shards()[token & (kShards - 1)].freedBytes.fetch_add(
+        bytes, std::memory_order_relaxed);
 }
 
 TensorArenaStats
 tensorArenaStats()
 {
-    ArenaCounters &c = arena();
     TensorArenaStats out;
-    out.allocCount = c.allocCount.load(std::memory_order_relaxed);
-    out.allocBytes = c.allocBytes.load(std::memory_order_relaxed);
-    out.freedBytes = c.freedBytes.load(std::memory_order_relaxed);
-    out.liveBytes = c.liveBytes.load(std::memory_order_relaxed);
-    out.peakLiveBytes = c.peakLiveBytes.load(std::memory_order_relaxed);
+    for (int i = 0; i < kShards; ++i) {
+        const ArenaShard &s = shards()[i];
+        out.allocCount += s.allocCount.load(std::memory_order_relaxed);
+        out.allocBytes += s.allocBytes.load(std::memory_order_relaxed);
+        out.freedBytes += s.freedBytes.load(std::memory_order_relaxed);
+        out.peakLiveBytes +=
+            s.peakLiveBytes.load(std::memory_order_relaxed);
+    }
+    out.liveBytes = out.allocBytes - out.freedBytes;
     return out;
 }
 
 void
 tensorArenaResetPeakForTest()
 {
-    ArenaCounters &c = arena();
-    c.peakLiveBytes.store(c.liveBytes.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
+    for (int i = 0; i < kShards; ++i) {
+        ArenaShard &s = shards()[i];
+        const int64_t live = s.allocBytes.load(std::memory_order_relaxed)
+                             - s.freedBytes.load(std::memory_order_relaxed);
+        s.peakLiveBytes.store(live, std::memory_order_relaxed);
+    }
 }
 
 } // namespace lrd

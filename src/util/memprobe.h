@@ -14,10 +14,17 @@
  *   (layer 0) so the telemetry sampler in src/obs/ (layer 1) can read
  *   them without an obs → tensor layering back-edge.
  *
- * All counters are relaxed atomics: cheap enough to leave always-on
- * (one fetch_add per Tensor construction — construction itself is an
- * O(n) zero-fill), and safe to read from the sampler thread. The peak
- * is maintained with a CAS loop on the allocation path only.
+ * The counters are split into cache-line-aligned shards so pool
+ * workers allocating at once never write the same line. A thread
+ * takes a shard on its first allocation; a free is charged to the
+ * shard that allocated the bytes (the shard index travels in the
+ * token tensorArenaRecordAlloc returns), so each shard's live level
+ * never goes negative. Counts and byte totals summed over the shards
+ * are exact. Each shard keeps its own high-water mark; their sum is
+ * the exact peak when one thread allocates, and an upper bound on it
+ * otherwise (shards can peak at different instants). All counters
+ * are relaxed atomics, cheap enough to leave always on, and safe to
+ * read from the sampler thread.
  */
 
 #ifndef LRD_UTIL_MEMPROBE_H
@@ -44,19 +51,27 @@ struct TensorArenaStats
     int64_t allocBytes = 0;    ///< Cumulative bytes allocated.
     int64_t freedBytes = 0;    ///< Cumulative bytes released.
     int64_t liveBytes = 0;     ///< allocBytes - freedBytes.
-    int64_t peakLiveBytes = 0; ///< High-water mark of liveBytes.
+    /** Sum of the per-shard high-water marks of liveBytes: exact
+     *  when a single thread allocates, an upper bound otherwise. */
+    int64_t peakLiveBytes = 0;
 };
 
-/** Record `bytes` entering the arena (Tensor construction). */
-void tensorArenaRecordAlloc(int64_t bytes);
+/**
+ * Record `bytes` entering the arena (Tensor construction) on the
+ * calling thread's shard. Returns the token to hand back to
+ * tensorArenaRecordFree(): the bytes with the shard index packed in.
+ */
+int64_t tensorArenaRecordAlloc(int64_t bytes);
 
-/** Record `bytes` leaving the arena (Tensor destruction). */
-void tensorArenaRecordFree(int64_t bytes);
+/** Record a token's bytes leaving the arena (Tensor destruction),
+ *  charged to the shard that allocated them. A token of zero bytes,
+ *  such as a moved-from tensor's 0, is a no-op. */
+void tensorArenaRecordFree(int64_t token);
 
 /** Coherent-enough snapshot of the counters (relaxed loads). */
 TensorArenaStats tensorArenaStats();
 
-/** Reset the peak to the current live level (tests). */
+/** Reset every shard's peak to its live level (tests). */
 void tensorArenaResetPeakForTest();
 
 } // namespace lrd

@@ -9,12 +9,16 @@
  * -DLRD_SANITIZE=thread: it exercises the pool from a single posting
  * thread across resize cycles, and one model shared by every worker
  * of the evaluator, a serve batch and a trainer step, which is
- * exactly the usage TSan must see clean.
+ * exactly the usage TSan must see clean. The tensor-arena counters
+ * are checked here too: pool workers allocate on their own shards
+ * while another thread frees.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "eval/evaluator.h"
@@ -217,7 +221,7 @@ TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
     Rng rng(32);
     for (const auto &[dim, rank] :
          {std::pair<int64_t, int64_t>{96, 24}, {256, 200}}) {
-        Linear l(dim, dim, /*hasBias=*/true, "dettest.factorized", rng);
+        Linear l(dim, dim, /*hasBias=*/true, "dettest.factorized", &rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
@@ -349,6 +353,80 @@ TEST(Determinism, OneSharedModelAcrossEvalServeAndTrain)
         << "serve: " << four.serveGrowth << " vs " << one.serveGrowth;
     EXPECT_LT(four.trainGrowth - one.trainGrowth, weightBytes)
         << "train: " << four.trainGrowth << " vs " << one.trainGrowth;
+}
+
+/**
+ * Pool workers allocate tensors on their own arena shards and a thread
+ * that allocated none frees a third of them: every free is charged to
+ * its allocating shard, so the summed counts and byte totals stay
+ * exact, and the summed peak stays an upper bound on the live level.
+ */
+TEST(TensorArena, ShardedCountersStayExactWhenAnotherThreadFrees)
+{
+    const int before = ThreadPool::instance().numThreads();
+    ThreadPool::instance().resize(4);
+    constexpr int64_t kTensors = 512;
+    std::vector<std::unique_ptr<Tensor>> slots(kTensors);
+    const auto bytesOf = [](int64_t i) {
+        return (i % 37 + 1) * static_cast<int64_t>(sizeof(float));
+    };
+
+    const TensorArenaStats start = tensorArenaStats();
+    parallelFor(0, kTensors, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            slots[static_cast<size_t>(i)] =
+                std::make_unique<Tensor>(Shape{i % 37 + 1});
+    });
+    int64_t allocBytes = 0;
+    int64_t freedBytes = 0;
+    for (int64_t i = 0; i < kTensors; ++i) {
+        allocBytes += bytesOf(i);
+        if (i % 3 == 0)
+            freedBytes += bytesOf(i);
+    }
+    // The raw thread is the point: frees from a thread that is neither
+    // a pool worker nor the allocator.
+    std::thread freer([&] { // lrd-lint: allow(thread-outside-parallel)
+        for (int64_t i = 0; i < kTensors; i += 3)
+            slots[static_cast<size_t>(i)].reset();
+    });
+    freer.join();
+
+    const TensorArenaStats mid = tensorArenaStats();
+    EXPECT_EQ(mid.allocCount - start.allocCount, kTensors);
+    EXPECT_EQ(mid.allocBytes - start.allocBytes, allocBytes);
+    EXPECT_EQ(mid.freedBytes - start.freedBytes, freedBytes);
+    EXPECT_EQ(mid.liveBytes - start.liveBytes, allocBytes - freedBytes);
+    EXPECT_EQ(mid.liveBytes, mid.allocBytes - mid.freedBytes);
+    EXPECT_GE(mid.peakLiveBytes, mid.liveBytes);
+
+    slots.clear();
+    const TensorArenaStats end = tensorArenaStats();
+    EXPECT_EQ(end.allocCount, mid.allocCount);
+    EXPECT_EQ(end.freedBytes - start.freedBytes, allocBytes);
+    EXPECT_EQ(end.liveBytes, start.liveBytes);
+    tensorArenaResetPeakForTest();
+    EXPECT_EQ(tensorArenaStats().peakLiveBytes, tensorArenaStats().liveBytes);
+    ThreadPool::instance().resize(before);
+}
+
+/**
+ * With one allocating thread the summed peak is exact, even when
+ * another thread frees: the free lowers the allocating shard's live
+ * level, so a later, smaller allocation there sets no new peak.
+ */
+TEST(TensorArena, PeakIsExactForOneAllocatingThread)
+{
+    tensorArenaResetPeakForTest();
+    const int64_t base = tensorArenaStats().liveBytes;
+    auto big = std::make_unique<Tensor>(Shape{1000});
+    std::thread freer([&] { big.reset(); }); // lrd-lint: allow(thread-outside-parallel)
+    freer.join();
+    const Tensor small(Shape{10});
+    const TensorArenaStats s = tensorArenaStats();
+    EXPECT_EQ(s.liveBytes - base, 10 * static_cast<int64_t>(sizeof(float)));
+    EXPECT_EQ(s.peakLiveBytes - base,
+              1000 * static_cast<int64_t>(sizeof(float)));
 }
 
 } // namespace

@@ -304,7 +304,7 @@ TEST(FactorizedForward, UntapedMatchesTapedBitwise)
         for (int64_t rows : {1, 8, 15, 16})
             cases.emplace_back(64, 48, rank, rows);
     for (const auto &[out, in, rank, rows] : cases) {
-        Linear l(out, in, /*hasBias=*/true, "factorizedtest", rng);
+        Linear l(out, in, /*hasBias=*/true, "factorizedtest", &rng);
         l.installFactorShape(rank);
         for (Parameter *p : l.parameters())
             p->value = Tensor::randn(p->value.shape(), rng);
@@ -331,7 +331,7 @@ TEST(FactorizedForward, UntapedMatchesTapedBitwise)
 TEST(FactorizedForward, DetectsExternalFactorWrites)
 {
     Rng rng(25);
-    Linear l(40, 40, /*hasBias=*/true, "factorizedtest.write", rng);
+    Linear l(40, 40, /*hasBias=*/true, "factorizedtest.write", &rng);
     l.installFactorShape(8);
     for (Parameter *p : l.parameters())
         p->value = Tensor::randn(p->value.shape(), rng);
@@ -618,7 +618,7 @@ TEST(RopeTable, BitwiseEqualToPerCallExpressionAtEveryPosition)
         cfg.dModel = cfg.nHeads * headDim;
         cfg.maxSeq = 512;
         Rng rng(static_cast<uint64_t>(headDim));
-        const MultiHeadAttention attn(cfg, 0, rng);
+        const MultiHeadAttention attn(cfg, 0, &rng);
         for (const bool inverse : {false, true}) {
             // Every position in one call, then the tail again from an
             // offset start.

@@ -111,7 +111,7 @@ TEST(LayerGrad, LayerNorm)
 TEST(LayerGrad, LinearDenseWithBias)
 {
     Rng rng(3);
-    Linear lin(7, 9, true, "t", rng);
+    Linear lin(7, 9, true, "t", &rng);
     Tensor x = Tensor::randn({4, 9}, rng);
     checkModuleGradients(lin, lin.parameters(), x);
 }
@@ -119,7 +119,7 @@ TEST(LayerGrad, LinearDenseWithBias)
 TEST(LayerGrad, LinearFactorized)
 {
     Rng rng(4);
-    Linear lin(8, 10, false, "t", rng);
+    Linear lin(8, 10, false, "t", &rng);
     ASSERT_TRUE(lin.factorize(3).ok());
     Tensor x = Tensor::randn({5, 10}, rng);
     checkModuleGradients(lin, lin.parameters(), x);
@@ -129,7 +129,7 @@ TEST(LayerGrad, SwigluMlp)
 {
     Rng rng(5);
     ModelConfig cfg = testLlamaConfig();
-    Mlp mlp(cfg, 0, rng);
+    Mlp mlp(cfg, 0, &rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
     checkModuleGradients(mlp, mlp.parameters(), x);
 }
@@ -138,7 +138,7 @@ TEST(LayerGrad, GeluMlp)
 {
     Rng rng(6);
     ModelConfig cfg = testBertConfig();
-    Mlp mlp(cfg, 0, rng);
+    Mlp mlp(cfg, 0, &rng);
     Tensor x = Tensor::randn({4, cfg.dModel}, rng);
     checkModuleGradients(mlp, mlp.parameters(), x);
 }
@@ -147,7 +147,7 @@ TEST(LayerGrad, CausalAttentionWithRope)
 {
     Rng rng(7);
     ModelConfig cfg = testLlamaConfig();
-    MultiHeadAttention attn(cfg, 0, rng);
+    MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
     checkModuleGradients(attn, attn.parameters(), x);
 }
@@ -156,7 +156,7 @@ TEST(LayerGrad, BidirectionalAttention)
 {
     Rng rng(8);
     ModelConfig cfg = testBertConfig();
-    MultiHeadAttention attn(cfg, 0, rng);
+    MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({6, cfg.dModel}, rng);
     checkModuleGradients(attn, attn.parameters(), x);
 }
@@ -215,7 +215,7 @@ TEST(Rope, RotationPreservesNorms)
     // rotation).
     Rng rngA(12);
     ModelConfig llama = testLlamaConfig();
-    MultiHeadAttention ropeAttn(llama, 0, rngA);
+    MultiHeadAttention ropeAttn(llama, 0, &rngA);
     Rng rngB(12);
     ModelConfig noRope = testLlamaConfig();
     noRope.arch = Arch::BertStyle; // no RoPE, but also not causal
@@ -238,7 +238,7 @@ TEST(Rope, ShiftedPositionsChangeScores)
     // score(q_i, k_j) depends only on i - j.
     Rng rng(13);
     ModelConfig cfg = testLlamaConfig();
-    MultiHeadAttention attn(cfg, 0, rng);
+    MultiHeadAttention attn(cfg, 0, &rng);
     Tensor x = Tensor::randn({2, cfg.dModel}, rng);
 
     KvCache cacheA(cfg.maxSeq, cfg.dModel);
@@ -265,9 +265,9 @@ TEST(Rope, ShiftedPositionsChangeScores)
 TEST(ActivationAware, UnitScalesMatchPlainFactorization)
 {
     Rng rngA(14);
-    Linear plain(10, 12, false, "t", rngA);
+    Linear plain(10, 12, false, "t", &rngA);
     Rng rngB(14);
-    Linear aware(10, 12, false, "t", rngB);
+    Linear aware(10, 12, false, "t", &rngB);
     ASSERT_TRUE(plain.factorize(2).ok());
     ASSERT_TRUE(aware.factorizeActivationAware(2, std::vector<float>(12, 1.0F)).ok());
     Tensor x = Tensor::randn({4, 12}, rngA);
@@ -298,12 +298,12 @@ TEST(ActivationAware, ReducesWeightedReconstructionError)
     };
 
     Rng rngA(16);
-    Linear plain(16, 16, false, "t", rngA);
+    Linear plain(16, 16, false, "t", &rngA);
     plain.weight().value = w;
     ASSERT_TRUE(plain.factorize(1).ok());
 
     Rng rngB(16);
-    Linear aware(16, 16, false, "t", rngB);
+    Linear aware(16, 16, false, "t", &rngB);
     aware.weight().value = w;
     ASSERT_TRUE(aware.factorizeActivationAware(1, s).ok());
 
@@ -314,7 +314,7 @@ TEST(ActivationAware, ReducesWeightedReconstructionError)
 TEST(ActivationAware, RejectsBadScales)
 {
     Rng rng(17);
-    Linear lin(4, 4, false, "t", rng);
+    Linear lin(4, 4, false, "t", &rng);
     EXPECT_THROW(
         (void)lin.factorizeActivationAware(1, {1.0F, 1.0F}), // wrong size
         std::runtime_error);
@@ -350,10 +350,10 @@ TEST(ActivationAware, CalibrationRequiresDenseModel)
 TEST(InstallFactorShape, MatchesFactorizeLayout)
 {
     Rng rngA(20);
-    Linear a(6, 8, false, "t", rngA);
+    Linear a(6, 8, false, "t", &rngA);
     ASSERT_TRUE(a.factorize(2).ok());
     Rng rngB(20);
-    Linear b(6, 8, false, "t", rngB);
+    Linear b(6, 8, false, "t", &rngB);
     b.installFactorShape(2);
     auto pa = a.parameters();
     auto pb = b.parameters();

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline.h"
 #include "cache.h"
 #include "lint.h"
 #include "output.h"
@@ -603,6 +604,54 @@ void coldSetup(std::vector<float> &v) { v.reserve(64); }
 } // namespace lrd
 )"}});
     EXPECT_FALSE(hasRule(diags, kRuleHotPathAlloc));
+}
+
+TEST(LintBaseline, ShiftedLambdaKeepsItsEntryAndNewAllocationFails)
+{
+    // A lambda is named by its enclosing function and ordinal, so code
+    // added above it keeps its baseline entry matching; the diagnostic
+    // still carries the line.
+    const std::string body = R"(
+namespace lrd {
+void scoreAll(long n, std::vector<int> &sink) {
+    parallelFor(0, n, 1, [&](long lo, long hi) { sink.push_back(1); });
+}
+} // namespace lrd
+)";
+    const auto original = lintFiles({{"src/eval/items.cc", body}});
+    const Diagnostic *d = findRule(original, kRuleHotPathAlloc);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(4, d->line);
+    EXPECT_EQ("lrd::scoreAll::<lambda#1>", d->symbol);
+    const std::string rendered = renderBaseline(original);
+    EXPECT_NE(rendered.find("\tlrd::scoreAll::<lambda#1>\t"),
+              std::string::npos);
+    const Baseline baseline = parseBaseline(rendered);
+
+    const auto shifted =
+        lintFiles({{"src/eval/items.cc", "// one\n// two\n" + body}});
+    d = findRule(shifted, kRuleHotPathAlloc);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(6, d->line);
+    EXPECT_EQ("lrd::scoreAll::<lambda#1>", d->symbol);
+    size_t suppressed = 0;
+    EXPECT_TRUE(applyBaseline(shifted, baseline, &suppressed).empty());
+    EXPECT_EQ(shifted.size(), suppressed);
+
+    // A second allocating lambda in the same function is a new finding.
+    const auto grown = lintFiles({{"src/eval/items.cc", R"(
+namespace lrd {
+void scoreAll(long n, std::vector<int> &sink) {
+    parallelFor(0, n, 1, [&](long lo, long hi) { sink.push_back(1); });
+    parallelFor(0, n, 1, [&](long lo, long hi) { sink.push_back(2); });
+}
+} // namespace lrd
+)"}});
+    const auto live = applyBaseline(grown, baseline, nullptr);
+    ASSERT_EQ(1U, live.size());
+    EXPECT_EQ(kRuleHotPathAlloc, live[0].rule);
+    EXPECT_EQ(5, live[0].line);
+    EXPECT_EQ("lrd::scoreAll::<lambda#2>", live[0].symbol);
 }
 
 // --------------------------------------------------------- lock-discipline

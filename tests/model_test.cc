@@ -94,7 +94,7 @@ TEST(Config, ModelParamCountMatchesConfigFormula)
 TEST(Linear, FactorizeReducesParamsPerFormula)
 {
     Rng rng(1);
-    Linear l(24, 16, false, "t", rng);
+    Linear l(24, 16, false, "t", &rng);
     const int64_t dense = l.paramCount();
     EXPECT_EQ(dense, 24 * 16);
     ASSERT_TRUE(l.factorize(2).ok());
@@ -106,7 +106,7 @@ TEST(Linear, FactorizeReducesParamsPerFormula)
 TEST(Linear, FullRankFactorizationPreservesOutput)
 {
     Rng rng(2);
-    Linear l(12, 10, false, "t", rng);
+    Linear l(12, 10, false, "t", &rng);
     Tensor x = Tensor::randn({5, 10}, rng);
     Tensor dense = l.forward(x);
     ASSERT_TRUE(l.factorize(10).ok());
@@ -117,7 +117,7 @@ TEST(Linear, FullRankFactorizationPreservesOutput)
 TEST(Linear, DensifyRoundTrip)
 {
     Rng rng(3);
-    Linear l(8, 8, false, "t", rng);
+    Linear l(8, 8, false, "t", &rng);
     Tensor w0 = l.weight().value;
     ASSERT_TRUE(l.factorize(8).ok());
     l.densify();
@@ -131,9 +131,9 @@ TEST(Linear, FactorizedOutputErrorShrinksWithRank)
     double prev = 1e9;
     for (int64_t pr : {1, 4, 10, 16}) {
         Rng r1(4);
-        Linear l(16, 20, false, "t", r1);
+        Linear l(16, 20, false, "t", &r1);
         Rng r2(4);
-        Linear dense(16, 20, false, "t", r2);
+        Linear dense(16, 20, false, "t", &r2);
         Tensor want = dense.forward(x);
         ASSERT_TRUE(l.factorize(pr).ok());
         const double err = relativeError(want, l.forward(x));
@@ -146,7 +146,7 @@ TEST(Linear, FactorizedOutputErrorShrinksWithRank)
 TEST(Linear, WeightAccessorFatalWhenFactorized)
 {
     Rng rng(5);
-    Linear l(4, 4, false, "t", rng);
+    Linear l(4, 4, false, "t", &rng);
     ASSERT_TRUE(l.factorize(1).ok());
     EXPECT_THROW(l.weight(), std::runtime_error);
     EXPECT_THROW(l.factorize(1), std::runtime_error);

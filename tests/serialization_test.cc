@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "model/decomp_config.h"
 #include "model/transformer.h"
 #include "tensor/ops.h"
 #include "util/cache.h"
@@ -117,6 +120,116 @@ TEST(Serialization, GqaConfigSurvivesRoundTrip)
     Rng rng(1);
     TokenSeq toks = {1, 2, 3, 4};
     EXPECT_LT(relativeError(m.forward(toks), m2.forward(toks)), 1e-7);
+}
+
+/** Bitwise round trip: same bytes back, and the same logits. */
+void
+expectBitwiseRoundTrip(const TransformerModel &m)
+{
+    const std::vector<uint8_t> bytes = m.serialize();
+    const TransformerModel back = TransformerModel::deserialize(bytes);
+    EXPECT_EQ(back.serialize(), bytes);
+    EXPECT_EQ(back.paramCount(), m.paramCount());
+    const TokenSeq tokens = {1, 5, 2, 7, 3};
+    const Tensor want = m.forward(tokens);
+    const Tensor got = back.forward(tokens);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             static_cast<size_t>(got.size())
+                                 * sizeof(float)));
+}
+
+TEST(Serialization, DenseFactorizedAndOverrideModelsRoundTripBitwise)
+{
+    const ModelConfig cfg = testLlamaConfig();
+    TransformerModel dense(cfg, 11);
+    expectBitwiseRoundTrip(dense);
+
+    TransformerModel factorized(cfg, 12);
+    std::vector<int> layers;
+    for (int l = 0; l < cfg.nLayers; ++l)
+        layers.push_back(l);
+    ASSERT_TRUE(
+        DecompConfig::allTensors(cfg, layers, 2).applyTo(factorized).ok());
+    expectBitwiseRoundTrip(factorized);
+
+    // Per-pair rank overrides: a different rank on some tensors.
+    DecompConfig overrides = DecompConfig::allTensors(cfg, layers, 4);
+    overrides.rankOverrides[{0, static_cast<int>(WeightKind::Up)}] = 1;
+    overrides.rankOverrides[{1, static_cast<int>(WeightKind::Query)}] = 3;
+    TransformerModel mixed(cfg, 13);
+    ASSERT_TRUE(overrides.applyTo(mixed).ok());
+    ASSERT_TRUE(mixed.anyFactorized());
+    expectBitwiseRoundTrip(mixed);
+
+    TransformerModel bert(testBertConfig(), 14);
+    expectBitwiseRoundTrip(bert);
+}
+
+/** deserialize()'s fatal message for `bytes`, or "" if it parsed. */
+std::string
+deserializeError(const std::vector<uint8_t> &bytes)
+{
+    try {
+        (void)TransformerModel::deserialize(bytes);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A v3 header for `cfg` with an empty factorization manifest. */
+ByteWriter
+headerFor(const ModelConfig &cfg)
+{
+    ByteWriter w;
+    w.putString("lrd-model-v3");
+    w.putString(cfg.name);
+    w.putU32(0);
+    for (int64_t v : {cfg.vocabSize, cfg.dModel, cfg.nLayers, cfg.nHeads,
+                      cfg.nKvHeads, cfg.dFf, cfg.maxSeq})
+        w.putU64(static_cast<uint64_t>(v));
+    w.putU64(0);
+    return w;
+}
+
+TEST(Serialization, MalformedBytesFailWithTheirMessages)
+{
+    const ModelConfig cfg = testLlamaConfig();
+    TransformerModel m(cfg, 15);
+    auto bytes = m.serialize();
+    bytes[8] ^= 0xFF;
+    EXPECT_NE(deserializeError(bytes).find(
+                  "TransformerModel::deserialize: bad magic"),
+              std::string::npos);
+
+    // The hand-built stream equals serialize()'s, so each stream below
+    // is wrong only in the field it names.
+    auto params = m.parameters();
+    ByteWriter good = headerFor(cfg);
+    good.putU64(params.size());
+    for (Parameter *p : params) {
+        good.putString(p->name);
+        good.putFloats(p->value.storage());
+    }
+    EXPECT_EQ(good.bytes(), m.serialize());
+
+    ByteWriter count = headerFor(cfg);
+    count.putU64(params.size() + 1);
+    EXPECT_NE(deserializeError(count.bytes())
+                  .find("TransformerModel::deserialize: parameter count "
+                        + std::to_string(params.size() + 1)
+                        + " != expected " + std::to_string(params.size())),
+              std::string::npos);
+
+    ByteWriter size = headerFor(cfg);
+    size.putU64(params.size());
+    size.putString(params[0]->name);
+    size.putFloats(std::vector<float>(3, 0.0F));
+    EXPECT_NE(deserializeError(size.bytes())
+                  .find("TransformerModel::deserialize: size mismatch for "
+                        + params[0]->name),
+              std::string::npos);
 }
 
 } // namespace

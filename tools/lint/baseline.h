@@ -5,7 +5,8 @@
  * A baseline grandfathers existing findings so a new rule can land
  * blocking without an atomic fix-the-world commit. Entries key on
  * (rule, file, symbol) — not line numbers — so they survive edits
- * that move code around; a fixed finding leaves a stale entry that
+ * that move code around (a lambda's symbol is its enclosing function
+ * plus its ordinal there); a fixed finding leaves a stale entry that
  * `--write-baseline` prunes.
  *
  * File format, one entry per line:

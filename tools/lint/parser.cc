@@ -708,17 +708,20 @@ class DeclParser
     void
     parseLambda(int enclosingIdx, const std::vector<std::string> &callStack)
     {
-        const int line = cur().line;
         FunctionInfo fn;
         fn.isLambda = true;
         fn.special = true;
-        fn.line = line;
+        fn.line = cur().line;
         fn.enclosing = enclosingIdx;
         fn.internal = true;
         fn.name = "<lambda>";
+        int ordinal = 1;
+        for (const FunctionInfo &other : out_.functions)
+            if (other.isLambda && other.enclosing == enclosingIdx)
+                ++ordinal;
         fn.qualName =
             out_.functions[static_cast<size_t>(enclosingIdx)].qualName
-            + "::<lambda@" + std::to_string(line) + ">";
+            + "::<lambda#" + std::to_string(ordinal) + ">";
         for (auto it = callStack.rbegin(); it != callStack.rend(); ++it)
             if (!it->empty()) {
                 fn.passedTo = *it;

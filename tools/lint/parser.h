@@ -80,7 +80,10 @@ struct FunctionInfo
     /** Last name component ("parallelFor"); lambdas: "<lambda>". */
     std::string name;
     /** Qualified name ("lrd::ThreadPool::parallelFor"); anonymous
-     *  namespaces contribute "(anon)", lambdas "<lambda@LINE>". */
+     *  namespaces contribute "(anon)", lambdas "<lambda#N>", N
+     *  counting the lambdas written directly in the enclosing
+     *  function from 1 — not the line, so a baseline entry survives
+     *  code moving above it (diagnostics carry the line). */
     std::string qualName;
     int line = 0;
     bool isLambda = false;
