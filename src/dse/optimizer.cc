@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include <unistd.h>
-
 #include "dse/schedules.h"
-#include "dse/shard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -29,6 +26,8 @@ namespace {
 /** Payload-format version of DSE checkpoints. v2 added the grid
  *  index and feasibility flag to serialized candidate records. */
 constexpr uint32_t kDseCkptVersion = 2;
+/** Payload-format version of the `--out` result file. */
+constexpr uint32_t kDseResultVersion = 1;
 
 /** One point of the pruned candidate grid. */
 struct Candidate
@@ -37,10 +36,45 @@ struct Candidate
     int count;
 };
 
-// Record (de)serialization is shared with the shard protocol — see
-// putCandidateRecord/getCandidateRecord in dse/shard.h. All metric
-// doubles round-trip as raw f64 bits, so a resumed sweep reports
-// bitwise the same records as an uninterrupted one.
+void
+putDecompConfig(ByteWriter &w, const DecompConfig &c)
+{
+    w.putU64(c.layers.size());
+    for (int l : c.layers)
+        w.putU32(static_cast<uint32_t>(l));
+    w.putU64(c.tensors.size());
+    for (WeightKind k : c.tensors)
+        w.putU32(static_cast<uint32_t>(k));
+    w.putU64(static_cast<uint64_t>(c.prunedRank));
+    w.putU64(c.rankOverrides.size());
+    for (const auto &[key, rank] : c.rankOverrides) {
+        w.putU32(static_cast<uint32_t>(key.first));
+        w.putU32(static_cast<uint32_t>(key.second));
+        w.putU64(static_cast<uint64_t>(rank));
+    }
+}
+
+DecompConfig
+getDecompConfig(ByteReader &r)
+{
+    DecompConfig c;
+    const uint64_t nLayers = r.getU64();
+    c.layers.resize(nLayers);
+    for (uint64_t i = 0; i < nLayers; ++i)
+        c.layers[i] = static_cast<int>(r.getU32());
+    const uint64_t nTensors = r.getU64();
+    c.tensors.resize(nTensors);
+    for (uint64_t i = 0; i < nTensors; ++i)
+        c.tensors[i] = static_cast<WeightKind>(r.getU32());
+    c.prunedRank = static_cast<int64_t>(r.getU64());
+    const uint64_t nOverrides = r.getU64();
+    for (uint64_t i = 0; i < nOverrides; ++i) {
+        const int layer = static_cast<int>(r.getU32());
+        const int kind = static_cast<int>(r.getU32());
+        c.rankOverrides[{layer, kind}] = static_cast<int64_t>(r.getU64());
+    }
+    return c;
+}
 
 void
 writeDseCheckpoint(const OptimizerOptions &opts,
@@ -146,31 +180,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
 
     std::vector<CandidateRecord> records(grid.size());
     std::vector<uint8_t> done(grid.size(), 0);
-    result.gridSize = static_cast<int64_t>(grid.size());
-
-    // Sharded sweeps: this process only evaluates the slots whose
-    // stable key hash lands on its shard. The mask depends purely on
-    // the grid coordinates and shardCount — never on LRD_THREADS or
-    // timing — so every run partitions identically.
-    require(opts.shardCount >= 1 && opts.shardIndex >= 0
-                && opts.shardIndex < opts.shardCount,
-            "optimizeDecomposition: bad shard spec");
-    std::vector<uint8_t> owned(grid.size(), 1);
-    if (opts.shardCount > 1) {
-        int64_t numOwned = 0;
-        for (size_t i = 0; i < grid.size(); ++i) {
-            owned[i] = shardOfKey(candidateShardKey(grid[i].rank,
-                                                    grid[i].count),
-                                  opts.shardCount)
-                               == opts.shardIndex
-                           ? 1
-                           : 0;
-            numOwned += owned[i];
-        }
-        inform(strCat("dse: shard ", opts.shardIndex, "/",
-                      opts.shardCount, " owns ", numOwned, " of ",
-                      grid.size(), " candidates"));
-    }
 
     bool resumed = false;
     if (opts.resume && !opts.checkpointPath.empty()) {
@@ -212,7 +221,7 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
     // candidate rank. Each candidate then only cuts and installs.
     DecompConfig covering = DecompConfig::allTensors(cfg, {}, 1);
     for (size_t i = 0; i < grid.size(); ++i) {
-        if (owned[i] == 0 || done[i] != 0)
+        if (done[i] != 0)
             continue;
         for (int l : spreadSchedule(static_cast<int>(cfg.nLayers),
                                     grid[i].count))
@@ -235,8 +244,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                 static Counter *candidates =
                     MetricsRegistry::instance().counter("dse.candidates");
                 for (int64_t idx = lo; idx < hi; ++idx) {
-                    if (owned[static_cast<size_t>(idx)] == 0)
-                        continue; // Another shard's slot.
                     if (done[static_cast<size_t>(idx)] != 0)
                         continue; // Already evaluated before resume.
                     LRD_TRACE_SPAN("dse.candidate");
@@ -294,13 +301,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
                 }
             });
     };
-    const auto countDone = [&] {
-        int64_t n = 0;
-        for (uint8_t d : done)
-            n += d != 0;
-        return n;
-    };
-    const int64_t doneAtStart = countDone();
     for (int64_t batchStart = 0; batchStart < total;
          batchStart += stride) {
         // Batch boundaries are the sweep's cancellation points: a
@@ -322,20 +322,6 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
             // Re-check: a signal may have landed mid-batch.
             cancel = checkCancellation("dse.batch");
         }
-        result.evaluatedThisRun = countDone() - doneAtStart;
-        // Heartbeat before the checkpoint: if a crash lands between
-        // the two, the lease has already banked this batch's work, so
-        // the retry's re-evaluation of it is counted as recomputed
-        // rather than silently absorbed.
-        if (!opts.leasePath.empty()) {
-            const Status ls = writeShardLease(
-                opts.leasePath,
-                ShardLease{static_cast<int64_t>(::getpid()),
-                           opts.evalsEverBase + result.evaluatedThisRun});
-            if (!ls.ok())
-                warn("dse: shard lease heartbeat skipped; "
-                     + ls.toString());
-        }
         if (checkpointing && !baselineTainted)
             writeDseCheckpoint(opts, result, grid, done, records);
         if (!cancel.ok()) {
@@ -345,12 +331,11 @@ optimizeDecomposition(const std::vector<uint8_t> &modelBytes,
         }
     }
 
-    // Serial fold, shared with the shard merge so both produce
-    // bitwise-identical results from identical records.
+    // Serial fold over the completed slots in grid order.
     std::vector<CandidateRecord> doneRecords;
     for (size_t i = 0; i < records.size(); ++i) {
         if (done[i] == 0)
-            continue; // Cancelled before this slot, or another shard's.
+            continue; // Cancelled before this slot.
         records[i].gridIndex = static_cast<int64_t>(i);
         doneRecords.push_back(std::move(records[i]));
     }
@@ -409,6 +394,52 @@ foldCandidateRecords(double baselineAccuracy, double baselineEdp,
     }
     result.explored = std::move(records);
     return result;
+}
+
+void
+putCandidateRecord(ByteWriter &w, const CandidateRecord &rec)
+{
+    putDecompConfig(w, rec.config);
+    w.putU64(static_cast<uint64_t>(rec.gridIndex));
+    w.putF64(rec.accuracy);
+    w.putF64(rec.latencySec);
+    w.putF64(rec.energyJ);
+    w.putF64(rec.edp);
+    w.putF64(rec.reduction);
+    w.putU32(rec.feasible ? 1 : 0);
+    w.putU32(rec.failed ? 1 : 0);
+    w.putString(rec.failure);
+}
+
+CandidateRecord
+getCandidateRecord(ByteReader &r)
+{
+    CandidateRecord rec;
+    rec.config = getDecompConfig(r);
+    rec.gridIndex = static_cast<int64_t>(r.getU64());
+    rec.accuracy = r.getF64();
+    rec.latencySec = r.getF64();
+    rec.energyJ = r.getF64();
+    rec.edp = r.getF64();
+    rec.reduction = r.getF64();
+    rec.feasible = r.getU32() != 0;
+    rec.failed = r.getU32() != 0;
+    rec.failure = r.getString();
+    return rec;
+}
+
+Status
+writeDseResultFile(const std::string &path, const OptimizerResult &result)
+{
+    ByteWriter w;
+    w.putF64(result.baselineAccuracy);
+    w.putF64(result.baselineEdp);
+    w.putU32(static_cast<uint32_t>(result.numFailed));
+    putCandidateRecord(w, result.best);
+    w.putU64(result.explored.size());
+    for (const CandidateRecord &rec : result.explored)
+        putCandidateRecord(w, rec);
+    return writeCheckpoint(path, kDseResultVersion, w.bytes());
 }
 
 } // namespace lrd

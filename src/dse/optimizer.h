@@ -14,12 +14,15 @@
 #ifndef LRD_DSE_OPTIMIZER_H
 #define LRD_DSE_OPTIMIZER_H
 
+#include <string>
 #include <vector>
 
 #include "model/decomp_config.h"
 #include "eval/evaluator.h"
 #include "hw/roofline.h"
 #include "train/world.h"
+#include "util/cache.h"
+#include "util/status.h"
 
 namespace lrd {
 
@@ -40,24 +43,6 @@ struct OptimizerOptions
     /** Resume from checkpointPath when it exists. */
     bool resume = false;
 
-    /**
-     * Sharded-sweep membership: this process owns the grid slots
-     * whose stable candidate-key hash lands on shardIndex (see
-     * dse/shard.h). shardCount 1 = unsharded; the partition depends
-     * only on (rank, count, shardCount), never on LRD_THREADS.
-     */
-    int shardIndex = 0;
-    int shardCount = 1;
-    /**
-     * Heartbeat lease file (sharded runs): rewritten at every batch
-     * boundary with this pid and the cumulative evaluation count, so
-     * a supervisor can tell a live shard from a dead one by mtime and
-     * a merge can report recomputed work. Empty disables.
-     */
-    std::string leasePath;
-    /** Evaluations performed by earlier attempts of this shard. */
-    int64_t evalsEverBase = 0;
-
     OptimizerOptions();
 };
 
@@ -65,8 +50,9 @@ struct OptimizerOptions
 struct CandidateRecord
 {
     DecompConfig config;
-    /** Slot in the enumeration-order candidate grid. Lets shard
-     *  result files land records back in their serial position. */
+    /** Slot in the enumeration-order candidate grid. Written into the
+     *  sweep checkpoint and the `--out` result file with the rest of
+     *  the record. */
     int64_t gridIndex = 0;
     double accuracy = 0;   ///< Aggregate benchmark accuracy.
     double latencySec = 0;
@@ -91,21 +77,16 @@ struct OptimizerResult
     bool cancelled = false;
     /** Cancelled/DeadlineExceeded when the sweep stopped early. */
     Status status;
-    /** Candidates evaluated by this run (excludes slots restored from
-     *  a checkpoint) — the shard lease's progress delta. */
-    int64_t evaluatedThisRun = 0;
-    /** Full candidate-grid size (all shards), for coverage checks. */
-    int64_t gridSize = 0;
 };
 
 /**
- * The serial tail of the search, shared with the shard merge: given
- * every evaluated record in grid-enumeration order, compute
- * feasibility against tau, pick the min-EDP feasible candidate
- * (falling back to the identity when nothing is feasible), and count
- * failures. Pure — same inputs, bitwise-same OptimizerResult — which
- * is what makes a sharded merge byte-identical to a serial sweep.
- * Does NOT enforce the failure budget; callers that sweep do.
+ * The serial tail of the search: given every evaluated record in
+ * grid-enumeration order, compute feasibility against tau, pick the
+ * min-EDP feasible candidate (falling back to the identity when
+ * nothing is feasible), and count failures. Pure — same inputs,
+ * bitwise-same OptimizerResult — so a resumed sweep folds to the same
+ * result as an uninterrupted one. Does NOT enforce the failure
+ * budget; optimizeDecomposition does.
  */
 OptimizerResult foldCandidateRecords(double baselineAccuracy,
                                      double baselineEdp,
@@ -122,6 +103,24 @@ OptimizerResult foldCandidateRecords(double baselineAccuracy,
 OptimizerResult optimizeDecomposition(
     const std::vector<uint8_t> &modelBytes, const World &world,
     const OptimizerOptions &opts = OptimizerOptions());
+
+/** @name Candidate-record serialization
+ * Shared by the sweep checkpoint and the result file. Metric doubles
+ * round-trip as raw f64 bits, so a resumed sweep reports bitwise the
+ * same records as an uninterrupted one.
+ *  @{
+ */
+void putCandidateRecord(ByteWriter &w, const CandidateRecord &rec);
+CandidateRecord getCandidateRecord(ByteReader &r);
+/** @} */
+
+/**
+ * Serialize a completed search result to `path` (atomic,
+ * CRC-protected). Byte-comparing two of these files is the sweep's
+ * determinism check across thread counts and kill/resume.
+ */
+Status writeDseResultFile(const std::string &path,
+                          const OptimizerResult &result);
 
 } // namespace lrd
 

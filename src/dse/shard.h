@@ -1,155 +1,14 @@
 /**
  * @file
- * Deterministic sharding of the Definition-1 candidate grid across
- * processes, plus the on-disk protocol that makes a supervised
- * multi-process sweep merge bitwise identically to a serial run.
- *
- * Partition: every grid slot (rank, count) hashes through a stable
- * splitmix64-style mix of its candidate key; slot ownership depends
- * only on (rank, count, shardCount) — never on LRD_THREADS, never on
- * enumeration timing — so any two runs agree on who owns what.
- *
- * Per shard, three files live in a shared results directory:
- *
- *   shard-<i>.ckpt   its private resume checkpoint (robust/checkpoint,
- *                    pid-unique .tmp names, .prev rotation)
- *   shard-<i>.lease  heartbeat: writer pid + cumulative evaluation
- *                    count, rewritten at every batch boundary; the
- *                    file mtime doubles as the liveness signal
- *   shard-<i>.result CRC-protected records for every owned slot,
- *                    written once on clean completion
- *
- * The merge reads shard result files in fixed shard order, validates
- * exactly-once grid coverage and bitwise baseline agreement, lands
- * each record back in its serial grid slot, and runs the same fold
- * (foldCandidateRecords) a serial sweep runs — so the merged result
- * file is byte-identical to `lrdtool dse` output at any thread count.
+ * Forwarding header. The candidate-record and result-file I/O it once
+ * declared lives in dse/optimizer.h; this file exists only because
+ * perfbench/workloads.cc still includes it, and goes when perfbench
+ * drops that include.
  */
 
 #ifndef LRD_DSE_SHARD_H
 #define LRD_DSE_SHARD_H
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "dse/optimizer.h"
-#include "util/cache.h"
-#include "util/status.h"
-
-namespace lrd {
-
-/** "i/n": this process owns shard `index` of `count`. */
-struct ShardSpec
-{
-    int index = 0;
-    int count = 1;
-};
-
-/**
- * Parse "--shard=i/n" text. InvalidArgument unless both fields are
- * plain decimal, n >= 1, and 0 <= i < n.
- */
-Result<ShardSpec> parseShardSpec(const std::string &text);
-
-/** Stable 64-bit key of a candidate grid slot. */
-uint64_t candidateShardKey(int64_t rank, int count);
-
-/** Owning shard of a key, in [0, shardCount). */
-int shardOfKey(uint64_t key, int shardCount);
-
-/** @name Per-shard file layout inside a results directory
- *  @{
- */
-std::string shardCheckpointPath(const std::string &dir, int index);
-std::string shardLeasePath(const std::string &dir, int index);
-std::string shardResultPath(const std::string &dir, int index);
-/** @} */
-
-/**
- * Shard heartbeat: who holds the shard and how many candidate
- * evaluations all attempts of it have performed so far. evalsEver
- * survives a crashed attempt (the relaunch reads it back), so the
- * merge can report work evaluated more than once.
- */
-struct ShardLease
-{
-    int64_t pid = 0;
-    int64_t evalsEver = 0;
-};
-
-/** Atomically (re)write the lease; the rename refreshes the mtime. */
-Status writeShardLease(const std::string &path, const ShardLease &lease);
-
-/** Read a lease; NotFound when absent, DataLoss when corrupt. */
-Result<ShardLease> readShardLease(const std::string &path);
-
-/** Seconds since the lease file's last heartbeat; -1 when missing. */
-double shardLeaseAgeSeconds(const std::string &path);
-
-/** @name Candidate-record serialization
- * Shared by the sweep checkpoint, shard result files, and the merged
- * result file. Metric doubles round-trip as raw f64 bits, so records
- * written by one process and folded by another stay bitwise intact.
- *  @{
- */
-void putCandidateRecord(ByteWriter &w, const CandidateRecord &rec);
-CandidateRecord getCandidateRecord(ByteReader &r);
-/** @} */
-
-/** Clean-completion output of one shard: every owned slot's record. */
-struct ShardResultFile
-{
-    ShardSpec shard;
-    uint64_t gridSize = 0;     ///< Full grid, for coverage checks.
-    int64_t evalsEver = 0;     ///< Cumulative across attempts.
-    double baselineAccuracy = 0;
-    double baselineEdp = 0;
-    std::vector<CandidateRecord> records; ///< gridIndex ascending.
-};
-
-/** Write a shard result file (atomic, CRC-protected). */
-Status writeShardResultFile(const std::string &path,
-                            const ShardResultFile &file);
-
-/** Read and validate one shard result file. */
-Result<ShardResultFile> readShardResultFile(const std::string &path);
-
-/**
- * Serialize a completed search result to `path` (atomic,
- * CRC-protected). Serial sweeps and shard merges both emit their
- * output through this writer, so byte-comparing the two files is the
- * determinism check.
- */
-Status writeDseResultFile(const std::string &path,
-                          const OptimizerResult &result);
-
-/** Merge outcome plus its work accounting. */
-struct MergeReport
-{
-    OptimizerResult result;
-    int shardsMerged = 0;
-    int64_t evalsEver = 0;   ///< Sum over shard files.
-    /** Evaluations beyond one per grid slot: work a crashed attempt
-     *  checkpointed its lease for but lost, redone by the retry.
-     *  Granularity is one checkpoint interval per crash. */
-    int64_t recomputed = 0;
-};
-
-/**
- * Fold shard result files 0..shardCount-1 in `dir` into the
- * serial-identical result: fixed shard-order read, exactly-once grid
- * coverage validation (DataLoss on a hole or duplicate), bitwise
- * baseline-agreement check, then foldCandidateRecords over the
- * records in grid-enumeration order. Fault site "dse.shard.merge"
- * (alloc, cancel). The failure budget is enforced per shard during
- * its own sweep, not re-enforced here — enforcement only aborts, it
- * never alters the folded bytes.
- */
-Result<MergeReport> mergeShardResults(const std::string &dir,
-                                      int shardCount,
-                                      double accuracyDropTolerance);
-
-} // namespace lrd
 
 #endif // LRD_DSE_SHARD_H

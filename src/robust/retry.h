@@ -4,7 +4,9 @@
  * failures. Attempt k draws its randomness from an Rng seeded purely
  * by (baseSeed, k), so the retry sequence — and therefore the final
  * result — depends only on the attempt number, never on timing,
- * thread identity, or how many other retries ran elsewhere.
+ * thread identity, or how many other retries ran elsewhere. Also
+ * home to backoffTicks, the integer backoff schedule of the serve
+ * layer's client retry. Nothing here sleeps.
  */
 
 #ifndef LRD_ROBUST_RETRY_H
@@ -35,15 +37,6 @@ backoffTicks(int64_t baseTicks, int attempt, int64_t maxTicks = 1 << 20)
         ticks *= 2;
     return ticks < maxTicks ? ticks : maxTicks;
 }
-
-/**
- * Block the calling thread for `ticks` milliseconds. The one
- * sanctioned sleep for process supervisors (shard relaunch backoff):
- * it lives in src/robust/ because pipeline and numeric code must
- * never sleep, and it only ever delays operational actions — never
- * anything that feeds a deterministic result.
- */
-void sleepForBackoff(int64_t ticks);
 
 /**
  * Run fn(rng, attempt) up to maxAttempts times, stopping at the first

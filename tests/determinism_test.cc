@@ -216,7 +216,7 @@ TEST(Determinism, MatmulAcrossThreadCountsAtEverySimdLevel)
 
 /** The factorized forward's three-GEMM chain shares the contract, at
  *  a small rank and at one near full. */
-TEST(Determinism, FusedFactorizedForwardAcrossThreadCounts)
+TEST(Determinism, FactorizedForwardAcrossThreadCounts)
 {
     Rng rng(32);
     for (const auto &[dim, rank] :

@@ -3,17 +3,22 @@
  * Tests for the design-space module: gamma validity (Prop 3.1),
  * parameter-reduction arithmetic, Theorem 3.2 vs brute-force
  * enumeration, Table 4 consistency against the paper's own reduction
- * percentages, and the spread-schedule generator.
+ * percentages, the spread-schedule generator, and the byte format of
+ * the sweep's candidate records.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "model/decomp_config.h"
 #include "dse/design_space.h"
+#include "dse/optimizer.h"
 #include "dse/schedules.h"
 
 namespace lrd {
@@ -237,6 +242,74 @@ TEST(Schedules, CaseStudyTargetsAreMonotoneLadder)
     for (size_t i = 1; i < targets.size(); ++i)
         EXPECT_GT(targets[i], targets[i - 1]);
     EXPECT_LT(targets.back(), 1.0);
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+double
+doubleFromBits(uint64_t bits)
+{
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+/** The sweep checkpoint and the --out result file store candidates
+ *  through one record codec; every field, including rank overrides,
+ *  the failure string and each metric's raw f64 bits, must survive. */
+TEST(CandidateRecordIo, RoundTripsRecords)
+{
+    CandidateRecord rec;
+    rec.config = DecompConfig::allTensors(tinyLlamaConfig(), {1, 3}, 2);
+    rec.config.rankOverrides[{3, static_cast<int>(WeightKind::Down)}] = 5;
+    rec.config.rankOverrides[{1, static_cast<int>(WeightKind::Query)}] = 7;
+    rec.gridIndex = 11;
+    rec.accuracy = 0.7;
+    rec.latencySec = -0.0;
+    rec.energyJ = std::numeric_limits<double>::denorm_min();
+    rec.edp = doubleFromBits(0x7FF8000000000123ULL); // NaN with payload.
+    rec.reduction = 1.0 / 3.0;
+    rec.feasible = true;
+    rec.failed = true;
+    rec.failure = "NonConvergence at jacobi: sweep cap hit";
+
+    ByteWriter w;
+    putCandidateRecord(w, rec);
+    putCandidateRecord(w, CandidateRecord{});
+    ByteReader r(w.bytes());
+    const CandidateRecord got = getCandidateRecord(r);
+    const CandidateRecord empty = getCandidateRecord(r);
+    EXPECT_TRUE(r.atEnd());
+
+    EXPECT_EQ(got.config.layers, rec.config.layers);
+    EXPECT_EQ(got.config.tensors, rec.config.tensors);
+    EXPECT_EQ(got.config.prunedRank, rec.config.prunedRank);
+    EXPECT_EQ(got.config.rankOverrides, rec.config.rankOverrides);
+    EXPECT_EQ(got.config.describe(), rec.config.describe());
+    EXPECT_EQ(got.gridIndex, 11);
+    for (const auto &[a, b] :
+         {std::pair{got.accuracy, rec.accuracy},
+          {got.latencySec, rec.latencySec},
+          {got.energyJ, rec.energyJ},
+          {got.edp, rec.edp},
+          {got.reduction, rec.reduction}})
+        EXPECT_EQ(bitsOf(a), bitsOf(b));
+    EXPECT_TRUE(got.feasible);
+    EXPECT_TRUE(got.failed);
+    EXPECT_EQ(got.failure, rec.failure);
+
+    EXPECT_TRUE(empty.config.empty());
+    EXPECT_TRUE(empty.config.rankOverrides.empty());
+    EXPECT_EQ(empty.gridIndex, 0);
+    EXPECT_FALSE(empty.feasible);
+    EXPECT_FALSE(empty.failed);
+    EXPECT_TRUE(empty.failure.empty());
 }
 
 } // namespace

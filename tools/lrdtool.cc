@@ -15,10 +15,7 @@
  *                                         stand-in, dump metrics JSON
  *   lrdtool train [flags]                 checkpointed training run
  *   lrdtool dse [flags]                   checkpointed Definition-1
- *                                         sweep on the tiny stand-in;
- *                                         --shard/--supervise/--merge
- *                                         run it as crash-supervised
- *                                         shard processes
+ *                                         sweep on the tiny stand-in
  *   lrdtool serve [flags]                 closed-loop serving run over
  *                                         a request file or synthetic
  *                                         workload
@@ -39,9 +36,8 @@
  *
  * Exit codes (see README.md): 0 ok, 1 error, 2 degraded past the
  * failure budget, 3 cancelled (SIGINT/SIGTERM), 4 deadline exceeded,
- * 5 corrupt checkpoint, 6 non-convergence, 8 shard failed past its
- * retry budget (7 is retired). A second signal force-exits with the
- * POSIX 128+signo code.
+ * 5 corrupt checkpoint, 6 non-convergence (7 and 8 are retired). A
+ * second signal force-exits with the POSIX 128+signo code.
  */
 
 #include <algorithm>
@@ -55,15 +51,11 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "decomp/tucker.h"
 #include "util/logging.h"
-#include "dse/coordinator.h"
 #include "dse/design_space.h"
 #include "dse/optimizer.h"
 #include "dse/schedules.h"
-#include "dse/shard.h"
 #include "eval/evaluator.h"
 #include "hw/opcount.h"
 #include "hw/roofline.h"
@@ -433,19 +425,6 @@ cmdTrain(const Flags &flags)
     return exitCodeForStatus(trainer.runStatus());
 }
 
-/** Absolute path of this binary, for respawning shard children. */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return std::string(buf);
-    }
-    return std::string(argv0);
-}
-
 /** Parse "--ranks=1,2,4" into positive integers; false on bad text. */
 bool
 parseRanksFlag(const std::string &text, std::vector<int64_t> &out)
@@ -470,40 +449,13 @@ parseRanksFlag(const std::string &text, std::vector<int64_t> &out)
     return !out.empty();
 }
 
-void
-printDseResult(const OptimizerResult &r)
-{
-    std::printf("explored   %zu candidates (%d degraded)\n",
-                r.explored.size(), r.numFailed);
-    std::printf("baseline   acc %.3f  edp %.4g\n", r.baselineAccuracy,
-                r.baselineEdp);
-    std::printf("best       %s\n", r.best.config.describe().c_str());
-    std::printf("           acc %.3f  edp %.4g  reduction %.2f%%\n",
-                r.best.accuracy, r.best.edp, r.best.reduction * 100.0);
-}
-
-/** Exit code for a DSE-family status: the supervisor's retry-budget
- *  failure gets its own documented code 8. */
-int
-dseExitCode(const Status &status)
-{
-    if (!status.ok()
-        && std::strcmp(status.site(), "dse.shard.retry") == 0)
-        return kExitShardFailed;
-    return exitCodeForStatus(status);
-}
-
 /**
- * A checkpointed Definition-1 sweep on the tiny stand-in model.
- *
- * Four modes: serial (default), one shard of a partitioned sweep
- * (--shard=i/n), supervisor of n shard child processes
- * (--supervise=n), and merge-only over an existing results directory
- * (--merge=n). A supervised run's merged --out file is bitwise
- * identical to a serial run's at any LRD_THREADS.
+ * A checkpointed Definition-1 sweep on the tiny stand-in model. The
+ * --out result file is bitwise identical at any LRD_THREADS and
+ * across kill and --resume.
  */
 int
-cmdDse(const Flags &flags, const char *argv0)
+cmdDse(const Flags &flags)
 {
     OptimizerOptions opts;
     opts.evalTasks = flags.num("tasks", 24);
@@ -518,123 +470,6 @@ cmdDse(const Flags &flags, const char *argv0)
         usage();
         return 1;
     }
-    const std::string dir = flags.str("dir", "dse_shards");
-
-    if (flags.has("supervise")) {
-        const int shards = flags.num("supervise", 0);
-        if (shards < 1 || shards > 4096) {
-            std::fprintf(stderr,
-                         "dse: bad --supervise '%s' (want 1..4096)\n",
-                         flags.str("supervise").c_str());
-            usage();
-            return 1;
-        }
-        MetricsRegistry::instance().setEnabled(true);
-        SupervisorOptions sup;
-        sup.shards = shards;
-        sup.dir = dir;
-        sup.maxRetries = flags.num("retries", 3);
-        sup.backoffBaseTicks = flags.num("backoff", 100);
-        sup.staleLeaseSeconds = flags.num("stale-secs", 900);
-        sup.accuracyDropTolerance = opts.accuracyDropTolerance;
-        sup.childArgs = {selfExePath(argv0), "dse", "--shard={shard}",
-                         "--dir=" + dir,
-                         "--tasks=" + std::to_string(opts.evalTasks),
-                         "--every="
-                             + std::to_string(opts.checkpointEvery)};
-        if (flags.has("ranks"))
-            sup.childArgs.push_back("--ranks=" + flags.str("ranks"));
-        const SupervisorReport rep = superviseDse(sup);
-        std::printf("status     %s\n", rep.status.ok()
-                                           ? "completed"
-                                           : rep.status.toString().c_str());
-        std::printf("launched   %d\n", rep.launched);
-        std::printf("retried    %d\n", rep.retried);
-        std::printf("reclaimed  %d\n", rep.reclaimed);
-        std::printf("skipped    %d\n", rep.skipped);
-        std::printf("failed     %d\n", rep.failed);
-        std::printf("merged     %d\n", rep.shardsMerged);
-        std::printf("evals ever %lld\n",
-                    static_cast<long long>(rep.evalsEver));
-        std::printf("recomputed %lld\n",
-                    static_cast<long long>(rep.recomputed));
-        std::printf("orphan tmps %lld\n",
-                    static_cast<long long>(rep.orphanTmpsSwept));
-        if (!rep.status.ok())
-            return dseExitCode(rep.status);
-        printDseResult(rep.result);
-        if (flags.has("out")) {
-            const Status ws =
-                writeDseResultFile(flags.str("out"), rep.result);
-            if (!ws.ok()) {
-                std::fprintf(stderr, "dse: %s\n", ws.toString().c_str());
-                return exitCodeForStatus(ws);
-            }
-        }
-        return 0;
-    }
-
-    if (flags.has("merge")) {
-        const int shards = flags.num("merge", 0);
-        if (shards < 1 || shards > 4096) {
-            std::fprintf(stderr,
-                         "dse: bad --merge '%s' (want 1..4096)\n",
-                         flags.str("merge").c_str());
-            usage();
-            return 1;
-        }
-        MetricsRegistry::instance().setEnabled(true);
-        Result<MergeReport> merge =
-            mergeShardResults(dir, shards, opts.accuracyDropTolerance);
-        if (!merge.ok()) {
-            std::fprintf(stderr, "dse: %s\n",
-                         merge.status().toString().c_str());
-            return exitCodeForStatus(merge.status());
-        }
-        const MergeReport &rep = merge.value();
-        std::printf("status     completed\n");
-        std::printf("merged     %d\n", rep.shardsMerged);
-        std::printf("evals ever %lld\n",
-                    static_cast<long long>(rep.evalsEver));
-        std::printf("recomputed %lld\n",
-                    static_cast<long long>(rep.recomputed));
-        printDseResult(rep.result);
-        if (flags.has("out")) {
-            const Status ws =
-                writeDseResultFile(flags.str("out"), rep.result);
-            if (!ws.ok()) {
-                std::fprintf(stderr, "dse: %s\n", ws.toString().c_str());
-                return exitCodeForStatus(ws);
-            }
-        }
-        return 0;
-    }
-
-    if (flags.has("shard")) {
-        Result<ShardSpec> spec = parseShardSpec(flags.str("shard"));
-        if (!spec.ok()) {
-            std::fprintf(stderr, "dse: %s\n",
-                         spec.status().toString().c_str());
-            usage();
-            return 1;
-        }
-        MetricsRegistry::instance().setEnabled(true);
-        TransformerModel model = pretrainedTinyLlama();
-        Result<OptimizerResult> run = runDseShard(
-            model.serialize(), defaultWorld(), opts, spec.value(), dir);
-        if (!run.ok()) {
-            std::fprintf(stderr, "dse: %s\n",
-                         run.status().toString().c_str());
-            return exitCodeForStatus(run.status());
-        }
-        const OptimizerResult &r = run.value();
-        std::printf("status     completed\n");
-        std::printf("shard      %d/%d: %zu of %lld candidates\n",
-                    spec.value().index, spec.value().count,
-                    r.explored.size(),
-                    static_cast<long long>(r.gridSize));
-        return 0;
-    }
 
     TransformerModel model = pretrainedTinyLlama();
     const OptimizerResult r =
@@ -643,7 +478,13 @@ cmdDse(const Flags &flags, const char *argv0)
                 r.cancelled ? (r.status.toString()
                                + " (resume with --resume)").c_str()
                             : "completed");
-    printDseResult(r);
+    std::printf("explored   %zu candidates (%d degraded)\n",
+                r.explored.size(), r.numFailed);
+    std::printf("baseline   acc %.3f  edp %.4g\n", r.baselineAccuracy,
+                r.baselineEdp);
+    std::printf("best       %s\n", r.best.config.describe().c_str());
+    std::printf("           acc %.3f  edp %.4g  reduction %.2f%%\n",
+                r.best.accuracy, r.best.edp, r.best.reduction * 100.0);
     if (flags.has("out") && !r.cancelled) {
         const Status ws = writeDseResultFile(flags.str("out"), r);
         if (!ws.ok()) {
@@ -963,36 +804,6 @@ printPhaseTable(const TelemetryFile &tf)
                                               1))});
             serve.print();
         }
-        // Supervised sharded sweeps roll up their process-level
-        // lifecycle: how many children launched, how often the
-        // retry/backoff path fired, and how much work the merge saw
-        // evaluated more than once.
-        if (counterAt("dse.shard.launched") > 0) {
-            TablePrinter shard("Sharded DSE supervision");
-            shard.setHeader({"metric", "value"});
-            shard.addRow(
-                {"shards launched",
-                 std::to_string(counterAt("dse.shard.launched"))});
-            shard.addRow(
-                {"retried",
-                 std::to_string(counterAt("dse.shard.retried"))});
-            shard.addRow(
-                {"leases reclaimed",
-                 std::to_string(counterAt("dse.shard.reclaimed"))});
-            shard.addRow(
-                {"failed past budget",
-                 std::to_string(counterAt("dse.shard.failed"))});
-            shard.addRow(
-                {"shards merged",
-                 std::to_string(counterAt("dse.shard.merged"))});
-            shard.addRow(
-                {"evals recomputed",
-                 std::to_string(counterAt("dse.shard.recomputed"))});
-            shard.addRow({"orphan tmps swept",
-                          std::to_string(counterAt(
-                              "checkpoint.orphanTmpSwept"))});
-            shard.print();
-        }
     }
     if (tf.hasFinal)
         std::printf("final: %lld samples over %.2f s (%lld rotations)\n",
@@ -1231,11 +1042,6 @@ usage()
         "  train [--steps=N] [--ckpt=FILE] [--every=N] [--resume]\n"
         "  dse   [--tasks=N] [--ckpt=FILE] [--every=N] [--resume]\n"
         "        [--ranks=R1,R2,...] [--out=FILE]\n"
-        "        [--shard=I/N --dir=DIR]     run one shard of the sweep\n"
-        "        [--supervise=N --dir=DIR [--retries=N] [--backoff=MS]\n"
-        "         [--stale-secs=S]]          spawn+watch N shard children,\n"
-        "                                    merge to serial-identical out\n"
-        "        [--merge=N --dir=DIR]       merge an existing shard dir\n"
         "  serve [--requests=N] [--file=JSONL] [--queue=N] [--batch=N]\n"
         "        [--retries=N] [--backoff=N] [--fallback-rank=N]\n"
         "        [--deadline=N] [--seed=N] [--tenants=N] [--pretrained]\n"
@@ -1282,7 +1088,6 @@ usage()
         "exit codes:\n"
         "  0 ok  1 error  2 degraded past failure budget  3 cancelled\n"
         "  4 deadline exceeded  5 corrupt checkpoint  6 non-convergence\n"
-        "  8 shard failed past its retry budget (dse --supervise)\n"
         "  (a second SIGINT/SIGTERM force-exits with 128+signo)\n");
 }
 
@@ -1342,7 +1147,7 @@ main(int argc, char **argv)
         else if (cmd == "train")
             ret = cmdTrain(Flags::parse(argc, argv, 2));
         else if (cmd == "dse")
-            ret = cmdDse(Flags::parse(argc, argv, 2), argv[0]);
+            ret = cmdDse(Flags::parse(argc, argv, 2));
         else if (cmd == "serve")
             ret = runServeCommand(Flags::parse(argc, argv, 2),
                                   /*openLoop=*/false);
