@@ -9,10 +9,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "decomp/tucker.h"
 #include "linalg/linalg.h"
+#include "model/decomp_config.h"
 #include "model/transformer.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -72,6 +75,44 @@ BM_GemmTransA(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_GemmTransA)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// Rank-sized training products of a factorized 176 x 64 layer over a
+// 64-token sequence: dy (64 x 176) times U1 (176 x n), and
+// dU1 += dy^T t2 with t2 (64 x n), at ranks n = 1 and 4.
+constexpr int64_t kSkinnyRows = 64;
+constexpr int64_t kSkinnyDepth = 176;
+
+void
+BM_GemmSkinnyN(benchmark::State &state)
+{
+    const auto n = static_cast<int64_t>(state.range(0));
+    Rng rng(13);
+    Tensor a = Tensor::randn({kSkinnyRows, kSkinnyDepth}, rng);
+    Tensor b = Tensor::randn({kSkinnyDepth, n}, rng);
+    for (auto _ : state) {
+        Tensor c = matmul(a, b);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kSkinnyRows
+                            * kSkinnyDepth * n);
+}
+BENCHMARK(BM_GemmSkinnyN)->Arg(1)->Arg(4);
+
+void
+BM_GemmTransASkinnyN(benchmark::State &state)
+{
+    const auto n = static_cast<int64_t>(state.range(0));
+    Rng rng(14);
+    Tensor a = Tensor::randn({kSkinnyRows, kSkinnyDepth}, rng);
+    Tensor b = Tensor::randn({kSkinnyRows, n}, rng);
+    for (auto _ : state) {
+        Tensor c = matmulTransA(a, b);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.SetItemsProcessed(state.iterations() * kSkinnyRows
+                            * kSkinnyDepth * n);
+}
+BENCHMARK(BM_GemmTransASkinnyN)->Arg(1)->Arg(4);
 
 /** BM_Gemm with metrics recording forced on: the delta against
  *  BM_Gemm/256 is the instrumentation overhead (budget: <2%). */
@@ -387,6 +428,37 @@ BM_TrainerStep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TrainerStep);
+
+/** One step of the fine-tune recipe (batch 8 x 64 tokens) on the
+ *  tiny stand-in with every tensor of every layer at rank 1: the
+ *  factorized backward that BM_TrainerStep's dense model never
+ *  reaches. */
+void
+BM_FactorizedTrainerStep(benchmark::State &state)
+{
+    TransformerModel model(tinyLlamaConfig(), 11);
+    std::vector<int> layers(static_cast<size_t>(model.config().nLayers));
+    std::iota(layers.begin(), layers.end(), 0);
+    const Status st =
+        DecompConfig::allTensors(model.config(), layers, 1).applyTo(model);
+    if (!st.ok()) {
+        state.SkipWithError(st.toString().c_str());
+        return;
+    }
+    TrainOptions opts;
+    opts.steps = 1;
+    opts.batchSeqs = 8;
+    opts.seqLen = 64;
+    opts.warmupSteps = 0;
+    opts.lr = 1e-3;
+    opts.logEvery = 0;
+    for (auto _ : state) {
+        Trainer trainer(model, defaultWorld(), opts);
+        const double loss = trainer.run();
+        benchmark::DoNotOptimize(loss);
+    }
+}
+BENCHMARK(BM_FactorizedTrainerStep);
 
 void
 BM_ServeThroughput(benchmark::State &state)

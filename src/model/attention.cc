@@ -22,6 +22,47 @@ headsProcessedCounter()
     return c;
 }
 
+/** x (t, width) transposed into (width, t): rows h * headDim .. are
+ *  head h's features over the t positions. Scratch for one call, so a
+ *  plain vector rather than a Tensor (transpose2d). */
+std::vector<float>
+transposed(const Tensor &x)
+{
+    const int64_t t = x.dim(0), width = x.dim(1);
+    std::vector<float> xt(static_cast<size_t>(t * width));
+    const float *xd = x.data();
+    for (int64_t j = 0; j < t; ++j)
+        for (int64_t c = 0; c < width; ++c)
+            xt[static_cast<size_t>(c * t + j)] = xd[j * width + c];
+    return xt;
+}
+
+/**
+ * s[j] = sum_d x[d] * y(j, d) for the first n of t rows of y, read
+ * from its (headDim, t) transpose yt: the dot products run across
+ * rows, so the n chains are independent vector lanes. The rounding is
+ * that of the per-row loop `s += x[d] * y[d]` in the Release build,
+ * which GCC vectorizes as a multiply, then in-order adds: each product
+ * is rounded, then added in order over d. Routing the products
+ * through `prod` keeps the compiler from contracting the two into an
+ * FMA.
+ */
+void
+dotsAcrossRows(const float *x, const float *yt, int64_t t, int64_t n,
+               int64_t headDim, float *prod, float *s)
+{
+    for (int64_t j = 0; j < n; ++j)
+        s[j] = 0.0F;
+    for (int64_t d = 0; d < headDim; ++d) {
+        const float xd = x[d];
+        const float *ytrow = yt + d * t;
+        for (int64_t j = 0; j < n; ++j)
+            prod[j] = xd * ytrow[j];
+        for (int64_t j = 0; j < n; ++j)
+            s[j] += prod[j];
+    }
+}
+
 } // namespace
 
 MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
@@ -39,11 +80,15 @@ MultiHeadAttention::MultiHeadAttention(const ModelConfig &cfg,
         std::make_unique<Linear>(dModel_, dModel_, bias, base + "wso", rng);
     // Scale the residual-branch output projection down by
     // 1/sqrt(2 * nLayers) (GPT-2-style init) so deep post-LN stacks
-    // train stably.
-    const float scale =
-        1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));
-    for (int64_t i = 0; i < wso_->weight().value.size(); ++i)
-        wso_->weight().value[i] *= scale;
+    // train stably. Without rng the weights are zero and deserialize
+    // overwrites them.
+    if (rng != nullptr) {
+        const float scale =
+            1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));
+        Tensor &w = wso_->weight().value;
+        for (float *p = w.data(), *e = p + w.size(); p != e; ++p)
+            *p *= scale;
+    }
     if (!useRope_)
         return;
     // Angle p * 10000^(-d / headDim) for pair d / 2 at position p,
@@ -116,29 +161,28 @@ MultiHeadAttention::forward(const Tensor &x, Tape *tape) const
     const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
     Tensor allProbs({nHeads_, t, t});
     Tensor ctx({t, dModel_});
+    const std::vector<float> kt = transposed(k);
 
     // Heads write disjoint probs planes and disjoint ctx column
     // slices, so the per-head loop parallelizes deterministically.
     const int64_t group = nHeads_ / kvHeads_;
     parallelFor(0, nHeads_, 1, [&](int64_t h0, int64_t h1) {
     headsProcessedCounter()->add(h1 - h0);
+    std::vector<float> prod(static_cast<size_t>(t));
     for (int64_t h = h0; h < h1; ++h) {
         const int64_t kvh = h / group;
+        const float *kth = kt.data() + kvh * headDim_ * t;
         float *probs = allProbs.data() + h * t * t;
         for (int64_t i = 0; i < t; ++i) {
             const float *qrow = q.data() + i * dModel_ + h * headDim_;
             float *prow = probs + i * t;
             const int64_t limit = causal_ ? i + 1 : t;
+            dotsAcrossRows(qrow, kth, t, limit, headDim_, prod.data(),
+                           prow);
             float mx = -std::numeric_limits<float>::infinity();
             for (int64_t j = 0; j < limit; ++j) {
-                const float *krow =
-                    k.data() + j * kvDim_ + kvh * headDim_;
-                float s = 0.0F;
-                for (int64_t d = 0; d < headDim_; ++d)
-                    s += qrow[d] * krow[d];
-                s *= invSqrt;
-                prow[j] = s;
-                mx = std::max(mx, s);
+                prow[j] *= invSqrt;
+                mx = std::max(mx, prow[j]);
             }
             float sum = 0.0F;
             for (int64_t j = 0; j < limit; ++j) {
@@ -186,6 +230,7 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
     Tensor dq({t, dModel_});
     Tensor dk({t, kvDim_});
     Tensor dv({t, kvDim_});
+    const std::vector<float> vt = transposed(tape.v);
 
     // Heads within a KV group accumulate into the same dk/dv columns,
     // so the group (not the head) is the parallel unit; heads inside a
@@ -194,6 +239,7 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
     parallelFor(0, kvHeads_, 1, [&](int64_t kv0, int64_t kv1) {
     headsProcessedCounter()->add((kv1 - kv0) * group);
     std::vector<float> dprow(static_cast<size_t>(t));
+    std::vector<float> prod(static_cast<size_t>(t));
     for (int64_t h = kv0 * group; h < kv1 * group; ++h) {
         const int64_t kvh = h / group;
         const float *probs = tape.probs.data() + h * t * t;
@@ -202,17 +248,13 @@ MultiHeadAttention::backward(const Tensor &dy, const Tape &tape,
             const float *dcrow = dCtx.data() + i * dModel_ + h * headDim_;
             const int64_t limit = causal_ ? i + 1 : t;
             // dP = dCtx V^T ; dV += P^T dCtx.
+            dotsAcrossRows(dcrow, vt.data() + kvh * headDim_ * t, t, limit,
+                           headDim_, prod.data(), dprow.data());
             for (int64_t j = 0; j < limit; ++j) {
-                const float *vrow =
-                    tape.v.data() + j * kvDim_ + kvh * headDim_;
                 float *dvrow = dv.data() + j * kvDim_ + kvh * headDim_;
-                float acc = 0.0F;
                 const float p = prow[j];
-                for (int64_t d = 0; d < headDim_; ++d) {
-                    acc += dcrow[d] * vrow[d];
+                for (int64_t d = 0; d < headDim_; ++d)
                     dvrow[d] += p * dcrow[d];
-                }
-                dprow[static_cast<size_t>(j)] = acc;
             }
             // Softmax backward: dS_j = P_j (dP_j - sum_k P_k dP_k).
             float inner = 0.0F;

@@ -9,17 +9,10 @@ namespace lrd {
 
 namespace {
 
+/** d/dx silu(x), given s = sigmoid(x). */
 float
-sigmoidf(float x)
+siluGrad(float x, float s)
 {
-    return 1.0F / (1.0F + std::exp(-x));
-}
-
-/** d/dx silu(x). */
-float
-siluGrad(float x)
-{
-    const float s = sigmoidf(x);
     return s * (1.0F + x * (1.0F - s));
 }
 
@@ -55,10 +48,13 @@ Mlp::Mlp(const ModelConfig &cfg, int64_t layerIdx, Rng *rng)
                                        base + "wout", rng);
     }
     // Residual-output init scaling (see MultiHeadAttention).
-    const float scale =
-        1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));
-    for (int64_t i = 0; i < wd_->weight().value.size(); ++i)
-        wd_->weight().value[i] *= scale;
+    if (rng != nullptr) {
+        const float scale =
+            1.0F / std::sqrt(2.0F * static_cast<float>(cfg.nLayers));
+        Tensor &w = wd_->weight().value;
+        for (float *p = w.data(), *e = p + w.size(); p != e; ++p)
+            *p *= scale;
+    }
 }
 
 Tensor
@@ -96,9 +92,10 @@ Mlp::backward(const Tensor &dy, const Tape &tape, const Grads &grads) const
         float *dgp = dg.data();
         float *dup = du.data();
         for (int64_t i = 0; i < dh.size(); ++i) {
-            const float sg = g[i] / (1.0F + std::exp(-g[i])); // silu(g)
+            const float e = std::exp(-g[i]);
+            const float sg = g[i] / (1.0F + e); // silu(g)
             dup[i] = dhp[i] * sg;
-            dgp[i] = dhp[i] * u[i] * siluGrad(g[i]);
+            dgp[i] = dhp[i] * u[i] * siluGrad(g[i], 1.0F / (1.0F + e));
         }
         Tensor dx = wg_->backward(dg, tape.g, grads);
         axpy(dx, 1.0F, wu_->backward(du, tape.u, grads));

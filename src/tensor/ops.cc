@@ -242,6 +242,62 @@ smallKDots(const float *arow, const float *b, int64_t k, float *crow,
 }
 
 /**
+ * c + a * b rounded as the j-inner skinny loops' `c += a * b`: one
+ * fused rounding where the target has an FMA instruction (GCC and
+ * Clang contract that statement by default), else the product, then
+ * the sum. Spelled out so the narrow paths' bits do not hang on
+ * whether the vectorizer contracts their differently shaped loops.
+ */
+inline float
+mulAdd(float a, float b, float c)
+{
+#ifdef FP_FAST_FMAF
+    return std::fma(a, b, c);
+#else
+    return c + a * b;
+#endif
+}
+
+/** n below which gemm's fallback takes narrowGemm; also its row-block
+ *  height. */
+constexpr int64_t kNarrow = 16;
+
+/** n below which gemmTransA's fallback runs p innermost. From 8 on, its
+ *  j-inner loop fills whole 8-lane vectors and is the faster one
+ *  (measured at m = 64, k = 176 on a 4-vCPU AVX-512 VM). */
+constexpr int64_t kNarrowTransA = 8;
+
+/**
+ * gemm's skinny loop for n < kNarrow over columns [jlo, jhi). Each
+ * output still sums over p in order through one mulAdd chain, the
+ * i-k-j loop's rounding, but kNarrow rows' chains are live at once
+ * instead of one row's n, so the FMAs overlap instead of waiting on
+ * each other's latency.
+ */
+void
+narrowGemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
+           int64_t n, int64_t jlo, int64_t jhi, bool accumulate)
+{
+    for (int64_t i0 = 0; i0 < m; i0 += kNarrow) {
+        const int64_t rows = std::min(kNarrow, m - i0);
+        const float *ablk = a + i0 * k;
+        float *cblk = c + i0 * n;
+        for (int64_t j = jlo; j < jhi; ++j) {
+            float acc[kNarrow];
+            for (int64_t r = 0; r < rows; ++r)
+                acc[r] = accumulate ? cblk[r * n + j] : 0.0F;
+            for (int64_t p = 0; p < k; ++p) {
+                const float bv = b[p * n + j];
+                for (int64_t r = 0; r < rows; ++r)
+                    acc[r] = mulAdd(ablk[r * k + p], bv, acc[r]);
+            }
+            for (int64_t r = 0; r < rows; ++r)
+                cblk[r * n + j] = acc[r];
+        }
+    }
+}
+
+/**
  * body(0, n) inline for products below kInlineMaxMacs, else
  * parallelFor chunks. Every output is owned by one iteration of
  * `body`, so both give identical bits.
@@ -326,6 +382,10 @@ gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
     // Skinny fallback: i-k-j loop order (unit-stride b and c rows),
     // column chunks so even single-row products parallelize.
     skinnyFor(m * k * n, n, 512, [&](int64_t jlo, int64_t jhi) {
+        if (n < kNarrow) {
+            narrowGemm(a, b, c, m, k, n, jlo, jhi, accumulate);
+            return;
+        }
         for (int64_t i = 0; i < m; ++i) {
             float *crow = c + i * n;
             if (!accumulate) {
@@ -390,6 +450,21 @@ gemmTransA(const float *a, const float *b, float *c, int64_t m, int64_t k,
             for (int64_t p = plo; p < phi; ++p)
                 for (int64_t j = 0; j < n; ++j)
                     c[p * n + j] = 0.0F;
+        }
+        if (n < kNarrowTransA) {
+            // p innermost: one pass of independent mulAdds over the
+            // chunk per (i, j), each element still summed over i in
+            // order.
+            for (int64_t i = 0; i < m; ++i) {
+                const float *arow = a + i * k;
+                for (int64_t j = 0; j < n; ++j) {
+                    const float bv = b[i * n + j];
+                    float *ccol = c + j;
+                    for (int64_t p = plo; p < phi; ++p)
+                        ccol[p * n] = mulAdd(arow[p], bv, ccol[p * n]);
+                }
+            }
+            return;
         }
         for (int64_t i = 0; i < m; ++i) {
             const float *arow = a + i * k;

@@ -3,25 +3,31 @@
  * Fuzz tests of the optimized GEMM kernels against a naive reference
  * triple loop, covering all transpose variants, accumulate modes and
  * degenerate shapes; bitwise differential tests of the skinny
- * fallbacks and the RoPE table against the code they replaced, and of
- * the untaped factorized forward against the taped one.
+ * fallbacks (including the narrow n < 16 paths), the RoPE table, the
+ * attention training core and the MLP backward against the code they
+ * replaced, and of the untaped factorized forward against the taped
+ * one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "model/attention.h"
 #include "model/linear.h"
+#include "model/mlp.h"
 #include "parallel/thread_pool.h"
 #include "tensor/ops.h"
 #include "tensor/simd/pack.h"
 #include "tensor/simd/simd.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace lrd {
@@ -385,8 +391,10 @@ TEST(GemmEdge, NanPropagatesThroughZeroEntries)
 
 /*
  * Scalar references for the skinny fallbacks: laneDot and the plain
- * loops, with no inline dispatch and no small-k gemmTransB path. The
- * optimized code must reproduce them bit for bit.
+ * j-inner loops, with no inline dispatch, no small-k gemmTransB path
+ * and no narrow n < 16 paths. Kept out of line so each compiles as
+ * the loop it copies did. The optimized code must reproduce them bit
+ * for bit.
  */
 
 /** ops.cc's laneDot: 16 striped lanes, then a fixed reduction tree. */
@@ -407,7 +415,7 @@ refLaneDot(const float *x, const float *y, int64_t k)
     return ((lane[0] + lane[2]) + (lane[1] + lane[3]));
 }
 
-void
+[[gnu::noinline]] void
 refSkinnyGemm(const float *a, const float *b, float *c, int64_t m,
               int64_t k, int64_t n, bool accumulate)
 {
@@ -424,7 +432,7 @@ refSkinnyGemm(const float *a, const float *b, float *c, int64_t m,
     }
 }
 
-void
+[[gnu::noinline]] void
 refSkinnyTransB(const float *a, const float *b, float *c, int64_t m,
                 int64_t k, int64_t n, bool accumulate)
 {
@@ -435,7 +443,7 @@ refSkinnyTransB(const float *a, const float *b, float *c, int64_t m,
         }
 }
 
-void
+[[gnu::noinline]] void
 refSkinnyTransA(const float *a, const float *b, float *c, int64_t m,
                 int64_t k, int64_t n, bool accumulate)
 {
@@ -579,6 +587,29 @@ TEST(SkinnyGemm, SpecialValuesAndUnderflowMatchScalarLoops)
     }
 }
 
+TEST(SkinnyGemm, NarrowPathsBitwiseEqualToJInnerLoops)
+{
+    // gemm takes its row-block path for n < 16 and gemmTransA its
+    // p-inner path for n < 8; n = 1..16 covers both and the first
+    // widths left on the old loops. m straddles the 16-row block (and
+    // the blocked path's 16 rows, which n < 24 keeps out of reach); k
+    // spans one product to a d_ff-deep chain. Mostly normal values,
+    // then a dense mix of specials.
+    for (const int threads : {1, 4}) {
+        PoolSize pool(threads);
+        for (const uint64_t specialEvery : {64, 3}) {
+            MixedValues values(specialEvery + static_cast<uint64_t>(threads),
+                               specialEvery);
+            for (const int64_t m : {15, 16, 17, 33, 64, 96})
+                for (int64_t n = 1; n <= 16; ++n)
+                    for (const int64_t k : {1, 7, 64, 176})
+                        for (const bool accumulate : {false, true})
+                            expectSkinnyBitwise(m, k, n, accumulate,
+                                                values);
+        }
+    }
+}
+
 /** Reference rotation: pow/cos/sin evaluated per element, the
  *  expression the RoPE table is built from. */
 void
@@ -641,6 +672,326 @@ TEST(RopeTable, BitwiseEqualToPerCallExpressionAtEveryPosition)
         EXPECT_THROW(attn.applyRope(past, cfg.maxSeq - 1, false, cfg.nHeads),
                      std::runtime_error);
     }
+}
+
+/** Bit-pattern mismatches between two equally long float arrays. */
+int64_t
+mismatchCount(const float *got, const float *want, int64_t n)
+{
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n; ++i)
+        bad += sameBits(got[i], want[i]) ? 0 : 1;
+    return bad;
+}
+
+/*
+ * MultiHeadAttention's training core as it was before the QK^T scores
+ * and the dCtx V^T products ran across keys: one headDim dot per key.
+ * Verbatim loops, minus the per-head parallelFor (each head owns its
+ * outputs, so the split does not change bits), and with each dot's
+ * product spelled as roundedProduct.
+ */
+
+/**
+ * a * b rounded on its own. The Release build vectorizes a per-key dot
+ * `s += x[d] * y[d]` as a multiply, then in-order adds, so every
+ * product is rounded; an unvectorized build (the UBSan one, for
+ * instance) contracts the same statement into FMAs. The copies spell
+ * out the Release rounding, so the comparison holds in every build.
+ */
+float
+roundedProduct(float a, float b)
+{
+    const volatile float p = a * b;
+    return p;
+}
+
+struct RefAttnShape
+{
+    int64_t t, nHeads, kvHeads, headDim;
+    bool causal;
+};
+
+[[gnu::noinline]] void
+refAttnForwardCore(const RefAttnShape &sh, const Tensor &q, const Tensor &k,
+                   const Tensor &v, Tensor &allProbs, Tensor &ctx)
+{
+    const int64_t t = sh.t, headDim_ = sh.headDim;
+    const int64_t dModel_ = sh.nHeads * headDim_;
+    const int64_t kvDim_ = sh.kvHeads * headDim_;
+    const bool causal_ = sh.causal;
+    const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
+    const int64_t group = sh.nHeads / sh.kvHeads;
+    for (int64_t h = 0; h < sh.nHeads; ++h) {
+        const int64_t kvh = h / group;
+        float *probs = allProbs.data() + h * t * t;
+        for (int64_t i = 0; i < t; ++i) {
+            const float *qrow = q.data() + i * dModel_ + h * headDim_;
+            float *prow = probs + i * t;
+            const int64_t limit = causal_ ? i + 1 : t;
+            float mx = -std::numeric_limits<float>::infinity();
+            for (int64_t j = 0; j < limit; ++j) {
+                const float *krow =
+                    k.data() + j * kvDim_ + kvh * headDim_;
+                float s = 0.0F;
+                for (int64_t d = 0; d < headDim_; ++d)
+                    s += roundedProduct(qrow[d], krow[d]);
+                s *= invSqrt;
+                prow[j] = s;
+                mx = std::max(mx, s);
+            }
+            float sum = 0.0F;
+            for (int64_t j = 0; j < limit; ++j) {
+                prow[j] = std::exp(prow[j] - mx);
+                sum += prow[j];
+            }
+            const float inv = 1.0F / sum;
+            for (int64_t j = 0; j < limit; ++j)
+                prow[j] *= inv;
+            for (int64_t j = limit; j < t; ++j)
+                prow[j] = 0.0F;
+            float *crow = ctx.data() + i * dModel_ + h * headDim_;
+            for (int64_t j = 0; j < limit; ++j) {
+                const float *vrow =
+                    v.data() + j * kvDim_ + kvh * headDim_;
+                const float p = prow[j];
+                for (int64_t d = 0; d < headDim_; ++d)
+                    crow[d] += p * vrow[d];
+            }
+        }
+    }
+}
+
+[[gnu::noinline]] void
+refAttnBackwardCore(const RefAttnShape &sh, const Tensor &dCtx,
+                    const MultiHeadAttention::Tape &tape, Tensor &dq,
+                    Tensor &dk, Tensor &dv)
+{
+    const int64_t t = sh.t, headDim_ = sh.headDim;
+    const int64_t dModel_ = sh.nHeads * headDim_;
+    const int64_t kvDim_ = sh.kvHeads * headDim_;
+    const bool causal_ = sh.causal;
+    const float invSqrt = 1.0F / std::sqrt(static_cast<float>(headDim_));
+    const int64_t group = sh.nHeads / sh.kvHeads;
+    std::vector<float> dprow(static_cast<size_t>(t));
+    for (int64_t h = 0; h < sh.nHeads; ++h) {
+        const int64_t kvh = h / group;
+        const float *probs = tape.probs.data() + h * t * t;
+        for (int64_t i = 0; i < t; ++i) {
+            const float *prow = probs + i * t;
+            const float *dcrow = dCtx.data() + i * dModel_ + h * headDim_;
+            const int64_t limit = causal_ ? i + 1 : t;
+            for (int64_t j = 0; j < limit; ++j) {
+                const float *vrow =
+                    tape.v.data() + j * kvDim_ + kvh * headDim_;
+                float *dvrow = dv.data() + j * kvDim_ + kvh * headDim_;
+                float acc = 0.0F;
+                const float p = prow[j];
+                for (int64_t d = 0; d < headDim_; ++d) {
+                    acc += roundedProduct(dcrow[d], vrow[d]);
+                    dvrow[d] += p * dcrow[d];
+                }
+                dprow[static_cast<size_t>(j)] = acc;
+            }
+            float inner = 0.0F;
+            for (int64_t j = 0; j < limit; ++j)
+                inner += prow[j] * dprow[static_cast<size_t>(j)];
+            const float *qrow = tape.q.data() + i * dModel_ + h * headDim_;
+            float *dqrow = dq.data() + i * dModel_ + h * headDim_;
+            for (int64_t j = 0; j < limit; ++j) {
+                const float ds =
+                    prow[j] * (dprow[static_cast<size_t>(j)] - inner)
+                    * invSqrt;
+                const float *krow =
+                    tape.k.data() + j * kvDim_ + kvh * headDim_;
+                float *dkrow = dk.data() + j * kvDim_ + kvh * headDim_;
+                for (int64_t d = 0; d < headDim_; ++d) {
+                    dqrow[d] += ds * krow[d];
+                    dkrow[d] += ds * qrow[d];
+                }
+            }
+        }
+    }
+}
+
+/** Flat gradient buffer for every parameter in `params`. */
+std::vector<float>
+gradBuffer(const std::vector<Parameter *> &params)
+{
+    size_t n = 0;
+    for (const Parameter *p : params)
+        n += static_cast<size_t>(p->size());
+    return std::vector<float>(n);
+}
+
+TEST(AttentionCore, AcrossKeyScoresBitwiseEqualToPerKeyDots)
+{
+    ModelConfig gqa = tinyLlamaConfig();
+    gqa.nKvHeads = 2;
+    ModelConfig narrow = testLlamaConfig(); // headDim 8, one KV head
+    narrow.nKvHeads = 1;
+    narrow.maxSeq = 96;
+    const ModelConfig configs[] = {tinyLlamaConfig(), tinyBertConfig(), gqa,
+                                   narrow};
+    for (const int threads : {1, 4}) {
+        PoolSize pool(threads);
+        for (const ModelConfig &cfg : configs)
+            for (const int64_t t : {1, 2, 17, 64, 96}) {
+                Rng rng(static_cast<uint64_t>(100 * t + threads));
+                MultiHeadAttention attn(cfg, 0, &rng);
+                const Tensor x = Tensor::randn({t, cfg.dModel}, rng);
+                const Tensor dy = Tensor::randn({t, cfg.dModel}, rng);
+                const RefAttnShape sh{t, cfg.nHeads, cfg.kvHeads(),
+                                      cfg.headDim(), cfg.causal()};
+                const std::string where =
+                    strCat(cfg.name, " kvHeads ", cfg.kvHeads(), " t ", t,
+                           " threads ", threads);
+
+                MultiHeadAttention::Tape tape;
+                (void)attn.forward(x, &tape);
+                Tensor probs({cfg.nHeads, t, t});
+                Tensor ctx({t, cfg.dModel});
+                refAttnForwardCore(sh, tape.q, tape.k, tape.v, probs, ctx);
+                EXPECT_EQ(mismatchCount(tape.probs.data(), probs.data(),
+                                        probs.size()),
+                          0)
+                    << "probs, " << where;
+                // wso's tape input is the context.
+                EXPECT_EQ(mismatchCount(tape.wso.x.data(), ctx.data(),
+                                        ctx.size()),
+                          0)
+                    << "ctx, " << where;
+
+                const std::vector<Parameter *> params = attn.parameters();
+                std::vector<float> gotFlat = gradBuffer(params);
+                std::vector<float> wantFlat = gradBuffer(params);
+                const Tensor dxGot =
+                    attn.backward(dy, tape, Grads(params, gotFlat));
+
+                const Grads want(params, wantFlat);
+                const Tensor dCtx = attn.linear(WeightKind::SelfOutput)
+                                        .backward(dy, tape.wso, want);
+                Tensor dq({t, cfg.dModel});
+                Tensor dk({t, cfg.kvDim()});
+                Tensor dv({t, cfg.kvDim()});
+                refAttnBackwardCore(sh, dCtx, tape, dq, dk, dv);
+                attn.applyRope(dq, 0, true, cfg.nHeads);
+                attn.applyRope(dk, 0, true, cfg.kvHeads());
+                // dq, dk and dv reach the result only through these
+                // backward calls: equal dx and equal projection grads
+                // pin them.
+                Tensor dxWant = attn.linear(WeightKind::Query)
+                                    .backward(dq, tape.wq, want);
+                axpy(dxWant, 1.0F,
+                     attn.linear(WeightKind::Key).backward(dk, tape.wk, want));
+                axpy(dxWant, 1.0F,
+                     attn.linear(WeightKind::Value)
+                         .backward(dv, tape.wv, want));
+                EXPECT_EQ(mismatchCount(dxGot.data(), dxWant.data(),
+                                        dxWant.size()),
+                          0)
+                    << "dx, " << where;
+                EXPECT_EQ(mismatchCount(gotFlat.data(), wantFlat.data(),
+                                        static_cast<int64_t>(gotFlat.size())),
+                          0)
+                    << "grads, " << where;
+            }
+    }
+}
+
+/*
+ * Mlp::backward's elementwise step as it was before SwiGLU evaluated
+ * exp(-g) once per element: silu from one exp, siluGrad from a
+ * second. Verbatim, helpers included.
+ */
+float
+refSigmoidf(float x)
+{
+    return 1.0F / (1.0F + std::exp(-x));
+}
+
+float
+refSiluGrad(float x)
+{
+    const float s = refSigmoidf(x);
+    return s * (1.0F + x * (1.0F - s));
+}
+
+float
+refGeluGrad(float x)
+{
+    constexpr float kC = 0.7978845608028654F; // sqrt(2/pi)
+    const float x3 = x * x * x;
+    const float inner = kC * (x + 0.044715F * x3);
+    const float t = std::tanh(inner);
+    const float dInner = kC * (1.0F + 3.0F * 0.044715F * x * x);
+    return 0.5F * (1.0F + t) + 0.5F * x * (1.0F - t * t) * dInner;
+}
+
+[[gnu::noinline]] Tensor
+refMlpBackward(Mlp &mlp, Arch arch, const Tensor &dy, const Mlp::Tape &tape,
+               const Grads &grads)
+{
+    const bool llama = arch == Arch::LlamaStyle;
+    Tensor dh = mlp.linear(llama ? WeightKind::Down : WeightKind::Output)
+                    .backward(dy, tape.d, grads);
+    const Tensor &gatePre = tape.gatePre;
+    if (llama) {
+        Tensor dg(gatePre.shape());
+        Tensor du(tape.up.shape());
+        const float *g = gatePre.data();
+        const float *u = tape.up.data();
+        const float *dhp = dh.data();
+        float *dgp = dg.data();
+        float *dup = du.data();
+        for (int64_t i = 0; i < dh.size(); ++i) {
+            const float sg = g[i] / (1.0F + std::exp(-g[i])); // silu(g)
+            dup[i] = dhp[i] * sg;
+            dgp[i] = dhp[i] * u[i] * refSiluGrad(g[i]);
+        }
+        Tensor dx = mlp.linear(WeightKind::Gate).backward(dg, tape.g, grads);
+        axpy(dx, 1.0F,
+             mlp.linear(WeightKind::Up).backward(du, tape.u, grads));
+        return dx;
+    }
+    Tensor dg(gatePre.shape());
+    const float *g = gatePre.data();
+    const float *dhp = dh.data();
+    float *dgp = dg.data();
+    for (int64_t i = 0; i < dh.size(); ++i)
+        dgp[i] = dhp[i] * refGeluGrad(g[i]);
+    return mlp.linear(WeightKind::Intermediate).backward(dg, tape.g, grads);
+}
+
+TEST(MlpBackward, SiluAndGeluBitwiseEqualToTwoExpLoop)
+{
+    for (const ModelConfig &cfg : {tinyLlamaConfig(), tinyBertConfig()})
+        for (const int64_t t : {1, 17, 64}) {
+            Rng rng(static_cast<uint64_t>(500 + t));
+            Mlp mlp(cfg, 0, &rng);
+            // Wide inputs drive the gate far into both tails, where
+            // exp(-g) overflows or vanishes.
+            const Tensor x = scale(Tensor::randn({t, cfg.dModel}, rng), 8.0F);
+            const Tensor dy = Tensor::randn({t, cfg.dModel}, rng);
+            Mlp::Tape tape;
+            (void)mlp.forward(x, &tape);
+
+            const std::vector<Parameter *> params = mlp.parameters();
+            std::vector<float> gotFlat = gradBuffer(params);
+            std::vector<float> wantFlat = gradBuffer(params);
+            const Tensor dxGot =
+                mlp.backward(dy, tape, Grads(params, gotFlat));
+            const Tensor dxWant = refMlpBackward(
+                mlp, cfg.arch, dy, tape, Grads(params, wantFlat));
+            EXPECT_EQ(mismatchCount(dxGot.data(), dxWant.data(),
+                                    dxWant.size()),
+                      0)
+                << cfg.name << " t " << t;
+            EXPECT_EQ(mismatchCount(gotFlat.data(), wantFlat.data(),
+                                    static_cast<int64_t>(gotFlat.size())),
+                      0)
+                << cfg.name << " t " << t;
+        }
 }
 
 } // namespace

@@ -553,9 +553,10 @@ TEST(FactorStep, CancelledFactorStepInstallsNothing)
     ThreadPool::instance().resize(1);
 }
 
-/** A kill-and-resume DSE sweep over factorized candidates must
- *  reproduce the uninterrupted one bitwise. */
-TEST(Resume, DseKillAndResumeIsBitwiseWithFusedPathEngaged)
+/** A kill-and-resume DSE sweep over factorized candidates, at two
+ *  threads with metrics on, must reproduce the uninterrupted one
+ *  bitwise. */
+TEST(Resume, DseKillAndResumeAtTwoThreadsWithMetricsIsBitwise)
 {
     RobustGuard guard;
     ThreadPool::instance().resize(2);
@@ -568,7 +569,7 @@ TEST(Resume, DseKillAndResumeIsBitwiseWithFusedPathEngaged)
         optimizeDecomposition(trainedBytes(), smallWorld(), opts);
     ASSERT_FALSE(ref.cancelled);
 
-    opts.checkpointPath = ckptPath("lrd_resume_dse_fused.bin");
+    opts.checkpointPath = ckptPath("lrd_resume_dse_two_threads.bin");
     opts.checkpointEvery = 2;
     setFault(FaultSpec{"dse.batch", FaultKind::Cancel, 2});
     const OptimizerResult cut =

@@ -47,7 +47,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -360,12 +362,18 @@ cmdStats(double percent)
     return 0;
 }
 
-/** "--key=value" / "--flag" parsing for the train/dse subcommands. */
+/**
+ * "--key=value" / "--flag" parsing for the train, dse, serve and
+ * loadgen subcommands. A key outside `accepted` is fatal, so a
+ * mistyped or retired flag fails before any work starts instead of
+ * being ignored.
+ */
 struct Flags
 {
     std::map<std::string, std::string> kv;
 
-    static Flags parse(int argc, char **argv, int first)
+    static Flags parse(int argc, char **argv, int first,
+                       std::span<const std::string_view> accepted)
     {
         Flags f;
         for (int i = first; i < argc; ++i) {
@@ -373,11 +381,19 @@ struct Flags
             if (arg.rfind("--", 0) != 0)
                 fatal("unexpected argument '" + arg + "'");
             const size_t eq = arg.find('=', 2);
-            if (eq == std::string::npos)
-                f.kv.insert_or_assign(arg.substr(2), std::string("1"));
-            else
-                f.kv.insert_or_assign(arg.substr(2, eq - 2),
-                                      arg.substr(eq + 1));
+            const std::string key = arg.substr(
+                2, eq == std::string::npos ? std::string::npos : eq - 2);
+            if (std::find(accepted.begin(), accepted.end(), key)
+                == accepted.end()) {
+                std::string known;
+                for (std::string_view k : accepted)
+                    known += strCat(" --", k);
+                fatal(strCat(argv[1], ": unknown flag '--", key,
+                             "' (accepted:", known, ")"));
+            }
+            f.kv.insert_or_assign(key, eq == std::string::npos
+                                           ? std::string("1")
+                                           : arg.substr(eq + 1));
         }
         return f;
     }
@@ -397,6 +413,16 @@ struct Flags
 
     bool has(const std::string &key) const { return kv.count(key) != 0; }
 };
+
+/** The flags each subcommand reads. serve takes all of loadgen's but
+ *  the leading --gap. */
+constexpr std::string_view kTrainFlags[] = {"steps", "log-every", "ckpt",
+                                            "every", "resume"};
+constexpr std::string_view kDseFlags[] = {"tasks",  "ckpt",  "every",
+                                          "resume", "ranks", "out"};
+constexpr std::string_view kLoadgenFlags[] = {
+    "gap",     "requests",      "file",     "queue", "batch",   "retries",
+    "backoff", "fallback-rank", "deadline", "seed",  "tenants", "pretrained"};
 
 /**
  * A short checkpointed training run on the tiny stand-in. Prints the
@@ -1039,7 +1065,8 @@ usage()
         "  breakeven <H> <W>\n"
         "  eval [reduction-percent]\n"
         "  stats [reduction-percent]     (default 50)\n"
-        "  train [--steps=N] [--ckpt=FILE] [--every=N] [--resume]\n"
+        "  train [--steps=N] [--log-every=N] [--ckpt=FILE] [--every=N]\n"
+        "        [--resume]\n"
         "  dse   [--tasks=N] [--ckpt=FILE] [--every=N] [--resume]\n"
         "        [--ranks=R1,R2,...] [--out=FILE]\n"
         "  serve [--requests=N] [--file=JSONL] [--queue=N] [--batch=N]\n"
@@ -1145,15 +1172,18 @@ main(int argc, char **argv)
         else if (cmd == "stats")
             ret = cmdStats(argc >= 3 ? std::atof(argv[2]) : 50.0);
         else if (cmd == "train")
-            ret = cmdTrain(Flags::parse(argc, argv, 2));
+            ret = cmdTrain(Flags::parse(argc, argv, 2, kTrainFlags));
         else if (cmd == "dse")
-            ret = cmdDse(Flags::parse(argc, argv, 2));
+            ret = cmdDse(Flags::parse(argc, argv, 2, kDseFlags));
         else if (cmd == "serve")
-            ret = runServeCommand(Flags::parse(argc, argv, 2),
-                                  /*openLoop=*/false);
+            ret = runServeCommand(
+                Flags::parse(argc, argv, 2,
+                             std::span(kLoadgenFlags).subspan(1)),
+                /*openLoop=*/false);
         else if (cmd == "loadgen")
-            ret = runServeCommand(Flags::parse(argc, argv, 2),
-                                  /*openLoop=*/true);
+            ret = runServeCommand(
+                Flags::parse(argc, argv, 2, kLoadgenFlags),
+                /*openLoop=*/true);
         else if (cmd == "faults")
             ret = cmdFaults();
         else if (cmd == "monitor" && argc >= 3)
